@@ -19,8 +19,9 @@ from .strata import (FactorSpace, StratumDescriptor, branch_count, classify_fact
                      enumerate_codim1, format_stratum, oracle_enumerate,
                      stability_value)
 from .verify import (ChainReport, LemmaId, StageFailure, TrivialityReport,
-                     Verdict, relation_determinant, relation_matrix, tt_chain,
-                     triviality_check, verify_all, verify_relation)
+                     TruncationTooLow, Verdict, relation_determinant,
+                     relation_matrix, tt_chain, triviality_check, verify_all,
+                     verify_relation)
 
 __all__ = [
     "__version__",
@@ -33,7 +34,8 @@ __all__ = [
     "FactorSpace", "StratumDescriptor", "branch_count", "classify_factor",
     "enumerate_codim1", "format_stratum", "oracle_enumerate",
     "stability_value",
-    "ChainReport", "LemmaId", "StageFailure", "TrivialityReport", "Verdict",
+    "ChainReport", "LemmaId", "StageFailure", "TrivialityReport",
+    "TruncationTooLow", "Verdict",
     "relation_determinant", "relation_matrix", "tt_chain",
     "triviality_check", "verify_all", "verify_relation",
 ]

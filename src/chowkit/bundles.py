@@ -103,18 +103,28 @@ class BundleClass:
             out = out + piece
         return BundleClass(self.rank, out)
 
-    def inverse_total(self):
-        """Formal inverse of the total Chern class, up to truncation."""
+    def inverse_total(self, upto=None):
+        """Formal inverse of the total Chern class, up to truncation.
+
+        upto=d keeps only the parts of degree <= d, which needs no
+        truncated ring.
+        """
         r = self.ring
         x = self.total - r.one()
         if x.is_zero():
             return r.one()
-        if r.truncation_degree is None:
+        cap = r.truncation_degree if upto is None else upto
+        if cap is None:
             raise ValueError("inverse_total needs a truncated ring")
+        if cap < 0:
+            raise ValueError("upto must be nonnegative")
+        # x has no degree-0 part, so x**k starts in degree k and the
+        # geometric series is exact up to degree cap after cap terms
+        step = -x
         acc = r.one()
         power = r.one()
-        for _ in range(r.truncation_degree):
-            power = power * (-x)
+        for _ in range(cap):
+            power = power.mul(step, upto=cap)
             if power.is_zero():
                 break
             acc = acc + power
@@ -132,8 +142,8 @@ def excess_class(n_ambient, n_component):
     drop = n_ambient.rank - n_component.rank
     if drop < 0:
         raise ValueError("component normal bundle outranks the ambient one")
-    prod = n_ambient.total * n_component.inverse_total()
-    return prod.graded_part(drop)
+    inverse = n_component.inverse_total(upto=drop)
+    return n_ambient.total.mul(inverse, upto=drop).graded_part(drop)
 
 
 def principal_parts_chern(line_c1, omega_c1, order):

@@ -21,10 +21,10 @@ from fractions import Fraction
 
 from . import __version__
 from .bundles import JetPoint, in_locus_B, jet_rank
-from .linalg import param_rank
+from .linalg import bareiss_det, param_rank
 from .strata import (enumerate_codim1, format_factor, format_stratum,
                      oracle_enumerate)
-from .verify import (LemmaId, StageFailure, relation_determinant,
+from .verify import (LemmaId, StageFailure, TruncationTooLow,
                      relation_matrix, tt_chain, verify_relation)
 
 _REPORT_FIELDS = (
@@ -195,6 +195,9 @@ def cmd_verify(args, out=None, err=None):
                     report.overall_pass = False
         if g_values is None and LemmaId.REL_3_TT in lemmas:
             report.chain = _chain_payload(tt_chain())
+    except TruncationTooLow as exc:
+        print(str(exc), file=err)
+        return 2
     except StageFailure as exc:
         print(f"verification aborted at stage {exc.stage!r}: {exc}",
               file=err)
@@ -238,8 +241,15 @@ def cmd_strata(args, out=None, err=None):
 def cmd_det(args, out=None, err=None):
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    det = relation_determinant()
-    basis, rows, _ = relation_matrix((3,))
+    try:
+        basis, rows, _ = relation_matrix((3,))
+    except TruncationTooLow as exc:
+        print(str(exc), file=err)
+        return 2
+    except StageFailure as exc:
+        print(f"determinant aborted at stage {exc.stage!r}: {exc}", file=err)
+        return 1
+    det = bareiss_det(rows)
     roots = [] if det.is_zero() else det.nonneg_integer_roots()
     rank = param_rank(rows)
     ok = not det.is_zero() and not roots and rank == len(basis)

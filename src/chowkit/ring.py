@@ -10,6 +10,14 @@ every ruled generator appears with exponent at most 1 in a normal form.
 Coefficients are univariate polynomials in g with Fraction coefficients
 (ParamPoly).  No floats anywhere.
 
+Every square rule is homogeneous (checked at construction), so a rewrite
+never changes the degree of a monomial.  A product of monomials of degrees
+d1 and d2 therefore only ever contributes in degree d1 + d2, and a product
+skips every pair above the truncation degree (or above the `upto` degree of
+ChowElement.mul) before multiplying its coefficients: those pairs could
+only yield terms that truncation drops.  The result is exactly what the
+full expansion followed by truncation gives.
+
 The canonical text format orders monomials by total degree descending,
 ties broken by the reversed exponent tuple ascending, which reproduces
 strings like
@@ -543,14 +551,39 @@ class ChowElement:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc[key] = acc.get(key, ParamPoly()) + c1 * c2
-        return ChowElement(self.ring, acc)
+        return self._product(other, self.ring.truncation_degree)
 
     __rmul__ = __mul__
+
+    def mul(self, other, *, upto):
+        """Product with self, keeping only its parts of degree <= upto."""
+        other = self._coerce_other(other)
+        if other is None:
+            raise TypeError("factor must coerce into the ring")
+        cap = self.ring.truncation_degree
+        return self._product(other, upto if cap is None else min(upto, cap))
+
+    def _product(self, other, cap):
+        """Sum of the pair products of degree <= cap (None: every pair).
+
+        A pair of degree d1 + d2 only yields terms of that degree, because
+        every square rule is homogeneous, so a pair above cap is skipped
+        before its coefficients are multiplied.
+        """
+        deg = self.ring.monomial_degree
+        by_degree = {}
+        for e2, c2 in other.terms.items():
+            by_degree.setdefault(deg(e2), []).append((e2, c2))
+        acc = {}
+        for e1, c1 in self.terms.items():
+            room = None if cap is None else cap - deg(e1)
+            for d2, group in by_degree.items():
+                if room is not None and d2 > room:
+                    continue
+                for e2, c2 in group:
+                    key = tuple(a + b for a, b in zip(e1, e2))
+                    acc[key] = acc.get(key, ParamPoly()) + c1 * c2
+        return ChowElement(self.ring, acc)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -90,6 +90,15 @@ class StageFailure(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {detail}")
 
 
+#: lowest truncation degree the tt chain needs: its first stage is the
+#: degree-3 class c3, which a lower truncation sets to zero
+TT_MIN_TRUNCATION = 3
+
+
+class TruncationTooLow(ValueError):
+    """A computation needs a higher truncation degree than the ring has."""
+
+
 @dataclass(frozen=True)
 class ChainReport:
     c3_free: ChowElement
@@ -126,8 +135,17 @@ def _ctx_for(lemma, g):
     return build_space(_LEMMA_SPACE[lemma], g=g)
 
 
+#: (symbolic space, expected text) -> parsed class; the space carries the
+#: truncation, so a changed CHOWKIT_TRUNCATION never hits a stale ring
+_PARSED = {}
+
+
 def _expected_elem(lemma, g):
-    symbolic = build_space(_LEMMA_SPACE[lemma]).parse(EXPECTED[lemma])
+    ctx = build_space(_LEMMA_SPACE[lemma])
+    key = (ctx, EXPECTED[lemma])
+    symbolic = _PARSED.get(key)
+    if symbolic is None:
+        symbolic = _PARSED[key] = ctx.parse(EXPECTED[lemma])
     if g is None:
         return symbolic
     return symbolic.evaluate(g)
@@ -210,9 +228,15 @@ def tt_chain(g=None):
     Stages: free cubic expansion of c3 of the second principal parts of W,
     reduction, gamma and pi pushforwards, the excess class alpha_Y on the
     diagonal, and the resulting divisor class.  Any mismatch raises
-    StageFailure naming the stage.
+    StageFailure naming the stage; a truncation below TT_MIN_TRUNCATION
+    raises TruncationTooLow before any stage runs.
     """
     ctx = build_space("X3", g=g)
+    if ctx.truncation < TT_MIN_TRUNCATION:
+        raise TruncationTooLow(
+            f"{LemmaId.REL_3_TT.value} and the tt chain need truncation "
+            f"degree >= {TT_MIN_TRUNCATION} (set CHOWKIT_TRUNCATION to "
+            f"{TT_MIN_TRUNCATION} or more); it is {ctx.truncation}")
     free = ctx.ring.free()
     zeta = free.gen("zeta_p")
     a_free = lift(ctx.cls("c1E"), _FreeCtx(free))

@@ -220,6 +220,60 @@ class TestDetCommand:
         assert d["rank"] == 4
 
 
+    def test_stage_failure_exits_1(self, capsys, monkeypatch):
+        import chowkit.verify as verify_mod
+        from chowkit.verify import LemmaId
+        broken = dict(verify_mod.EXPECTED)
+        broken[LemmaId.REL_3_TT] = "zeta_p"
+        monkeypatch.setattr(verify_mod, "EXPECTED", broken)
+        code, out, err = run(capsys, "det", "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert "aborted at stage 'tt-class'" in err
+
+    def test_runs_tt_chain_once(self, capsys, monkeypatch):
+        import chowkit.verify as verify_mod
+        calls = []
+        real = verify_mod.tt_chain
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "tt_chain", counting)
+        code, _, _ = run(capsys, "det", "--format", "json")
+        assert code == 0
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("truncation", ["1", "2"])
+class TestTruncationGuard:
+    """Commands that need the tt chain refuse a truncation below 3."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--g", "symbolic"),
+        ("verify", "--g", "0..2", "--format", "json"),
+        ("verify", "--lemma", "REL-3-TT"),
+        ("det",),
+        ("det", "--format", "json"),
+    ])
+    def test_chain_commands_exit_2(self, capsys, monkeypatch, truncation,
+                                   argv):
+        monkeypatch.setenv("CHOWKIT_TRUNCATION", truncation)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert ">= 3" in err
+        assert "Traceback" not in err
+
+    def test_chain_free_lemma_still_passes(self, capsys, monkeypatch,
+                                           truncation):
+        monkeypatch.setenv("CHOWKIT_TRUNCATION", truncation)
+        code, out, _ = run(capsys, "verify", "--lemma", "REL-111-DELTA")
+        assert code == 0
+        assert out.splitlines()[-1] == "overall: PASS"
+
+
 class TestJetCommand:
     def test_off_directrix(self, capsys):
         code, out, _ = run(capsys, "jet", "--m", "2", "--n", "4")

@@ -6,9 +6,11 @@ integer coefficients so products stay inside the truncation window.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from chowkit.ring import ChowElement, G, Generator, ParamPoly, RingPresentation
+from chowkit.spaces import build_space
 
 _GENS = (Generator("zeta_p", 1), Generator("z", 1), Generator("a1", 1),
          Generator("a2", 2), Generator("a2p", 1), Generator("c2", 2))
@@ -34,13 +36,13 @@ scalars = st.fractions(
 
 
 @st.composite
-def elements(draw, max_terms=4):
-    names = [gq.name for gq in RING.generators]
-    total = RING.zero()
+def elements(draw, ring=RING, max_terms=4):
+    names = [gq.name for gq in ring.generators]
+    total = ring.zero()
     for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
-        term = RING.const(Fraction(draw(coeffs)))
+        term = ring.const(Fraction(draw(coeffs)))
         for _ in range(draw(st.integers(min_value=0, max_value=3))):
-            term = term * RING.gen(draw(st.sampled_from(names)))
+            term = term * ring.gen(draw(st.sampled_from(names)))
         total = total + term
     return total
 
@@ -110,3 +112,47 @@ def test_confluence_under_scan_order(a):
 def test_reduce_idempotent(a):
     assert a.reduce() == a
     assert a.in_free().reduce() == a
+
+
+def _with_truncation(ring, truncation):
+    return RingPresentation(ring.generators, ring.square_rules,
+                            truncation_degree=truncation,
+                            rewrite_order=ring.rewrite_order)
+
+
+#: the PE and X111 presentations at several truncations, and untruncated
+CAPPED_RINGS = [
+    pytest.param(_with_truncation(build_space(sid, truncation=4).ring, t),
+                 id=f"{sid}-trunc{t}")
+    for sid in ("PE", "X111") for t in (2, 4, 6, None)
+]
+
+
+def _full_product(a, b):
+    """Reference product: every pair product, then one normalization."""
+    acc = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            acc[key] = acc.get(key, ParamPoly()) + c1 * c2
+    return ChowElement(a.ring, acc)
+
+
+@pytest.mark.parametrize("ring", CAPPED_RINGS)
+@given(data=st.data())
+def test_capped_product_matches_full_expansion(ring, data):
+    a = data.draw(elements(ring))
+    b = data.draw(elements(ring))
+    assert a * b == _full_product(a, b)
+
+
+@pytest.mark.parametrize("ring", CAPPED_RINGS)
+@given(data=st.data(), upto=st.integers(min_value=0, max_value=7))
+def test_mul_upto_keeps_low_graded_parts(ring, data, upto):
+    a = data.draw(elements(ring))
+    b = data.draw(elements(ring))
+    want = ring.zero()
+    for d, piece in _full_product(a, b).graded_pieces():
+        if d <= upto:
+            want = want + piece
+    assert a.mul(b, upto=upto) == want

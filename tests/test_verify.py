@@ -9,9 +9,9 @@ from chowkit.linalg import (bareiss_det, param_rank, rank_at_samples,
                             rank_fraction, solve_cramer)
 from chowkit.ring import ParamPoly
 from chowkit.spaces import build_space
-from chowkit.verify import (LemmaId, StageFailure, relation_determinant,
-                            relation_matrix, tt_chain, triviality_check,
-                            verify_all, verify_relation)
+from chowkit.verify import (LemmaId, StageFailure, TruncationTooLow,
+                            relation_determinant, relation_matrix, tt_chain,
+                            triviality_check, verify_all, verify_relation)
 
 EXPECTED_STRINGS = {
     "REL-111-DELTA": "zeta_p + zeta_q - (g+2)*z - a1",
@@ -56,6 +56,16 @@ class TestRelations:
         v = verify_relation(LemmaId.REL_111_DELTA, g=4)
         assert v.computed.canonical() == "zeta_p + zeta_q - 6*z - a1"
 
+    def test_expected_class_follows_truncation(self, monkeypatch):
+        monkeypatch.delenv("CHOWKIT_TRUNCATION", raising=False)
+        assert verify_relation("REL-3-NODE").expected.ring \
+            .truncation_degree == 4
+        monkeypatch.setenv("CHOWKIT_TRUNCATION", "6")
+        verdict = verify_relation("REL-3-NODE")
+        assert verdict.passed
+        assert verdict.expected.ring.truncation_degree == 6
+        assert verdict.computed.ring == verdict.expected.ring
+
     def test_accepts_string_id(self):
         assert verify_relation("REL-21-NODE").passed
 
@@ -93,6 +103,19 @@ class TestChain:
     def test_sampled_chain(self, g):
         chain = tt_chain(g=g)
         assert chain.push_pi.canonical() == "3*a2p"
+
+    @pytest.mark.parametrize("truncation", ["1", "2"])
+    def test_needs_truncation_3(self, monkeypatch, truncation):
+        monkeypatch.setenv("CHOWKIT_TRUNCATION", truncation)
+        with pytest.raises(TruncationTooLow, match=">= 3"):
+            tt_chain()
+        with pytest.raises(TruncationTooLow):
+            triviality_check((3,), g=4)
+        assert verify_relation("REL-3-NODE").passed
+
+    def test_runs_at_truncation_3(self, monkeypatch):
+        monkeypatch.setenv("CHOWKIT_TRUNCATION", "3")
+        assert tt_chain().tt_class.canonical() == EXPECTED_STRINGS["REL-3-TT"]
 
     def test_stage_failure_type(self):
         err = StageFailure("c3-free", "mismatch")
