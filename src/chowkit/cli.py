@@ -21,11 +21,10 @@ from fractions import Fraction
 
 from . import __version__
 from .bundles import JetPoint, in_locus_B, jet_rank
-from .linalg import bareiss_det, param_rank
 from .strata import (enumerate_codim1, format_factor, format_stratum,
                      oracle_enumerate)
 from .verify import (LemmaId, StageFailure, TruncationTooLow,
-                     relation_matrix, tt_chain, verify_relation)
+                     triviality_check, tt_chain, verify_relation)
 
 _REPORT_FIELDS = (
     ("tool-version", "tool_version"),
@@ -242,27 +241,23 @@ def cmd_det(args, out=None, err=None):
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        basis, rows, _ = relation_matrix((3,))
+        cert = triviality_check((3,))
     except TruncationTooLow as exc:
         print(str(exc), file=err)
         return 2
     except StageFailure as exc:
         print(f"determinant aborted at stage {exc.stage!r}: {exc}", file=err)
         return 1
-    det = bareiss_det(rows)
-    roots = [] if det.is_zero() else det.nonneg_integer_roots()
-    rank = param_rank(rows)
-    ok = not det.is_zero() and not roots and rank == len(basis)
     report = _empty_report()
     report.determinant = {
-        "poly": str(det),
-        "basis": list(basis),
-        "nonneg-integer-roots": list(roots),
-        "rank": rank,
+        "poly": str(cert.determinant),
+        "basis": list(cert.basis),
+        "nonneg-integer-roots": list(cert.det_roots),
+        "rank": cert.rank,
     }
-    report.overall_pass = ok
+    report.overall_pass = cert.passed
     _emit(report, args.fmt, out)
-    return 0 if ok else 1
+    return 0 if cert.passed else 1
 
 
 def _parse_rows_spec(text):

@@ -6,10 +6,12 @@ and compared against the frozen expected class.  Everything is symbolic
 in g by default; passing g = <rational> reruns a computation with the
 genus specialized.
 
-The triviality certificates turn the relation sets into exact linear
-algebra over Q[g]: Cramer solutions with cleared denominators for the
-inhomogeneous cases, and a certified full-rank computation (pivots that
-provably never vanish at integers g >= 0) for the homogeneous one.
+Two tables hold the data: ``_RELATIONS`` gives each lemma its space and
+recipe, and ``_SYSTEMS`` gives each node profile mu its relation rows and
+degree-1 basis.  The triviality certificates turn those systems into exact
+linear algebra over Q[g]: Cramer solutions with cleared denominators for
+the inhomogeneous cases, and a certified full-rank computation (pivots
+that provably never vanish at integers g >= 0) for the homogeneous one.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .bundles import BundleClass, excess_class, principal_parts_chern
-from .linalg import bareiss_det, param_rank, rank_at_samples, solve_cramer
+from .linalg import bareiss_det, param_rank, solve_cramer
 from .ring import ChowElement, G, ParamPoly
 from .spaces import build_space, diagonal, lift, pushforward
 
@@ -43,17 +45,31 @@ class LemmaId(enum.Enum):
                          + ", ".join(m.value for m in cls))
 
 
-#: space each relation lives on
-_LEMMA_SPACE = {
-    LemmaId.REL_111_DELTA: "X111",
-    LemmaId.REL_111_RAM_P: "X111",
-    LemmaId.REL_111_RAM_Q: "X111",
-    LemmaId.REL_21_TRIPLE: "PE",
-    LemmaId.REL_21_NODE: "PE",
-    LemmaId.REL_3_CONTACT4: "X3",
-    LemmaId.REL_3_NODE: "X3",
-    LemmaId.REL_3_DELTA_INPUT: "X3",
-    LemmaId.REL_3_TT: "X3",
+#: recipe shared by the two node relations
+_NODE = (("c1 of gamma^* Omega_base", "c1Omega_base", 1),
+         ("c1 of W", "c1W", 1))
+
+#: lemma -> (space, recipe).  A derived lemma's recipe lists the summands
+#: of its class as (narrative label, class or generator name, multiplier);
+#: "quoted" marks the quoted input and "chain" the tt chain result.
+_RELATIONS = {
+    # the divisor is cut by a section of eta_p^* O(1) tensor eta_q^* Q
+    LemmaId.REL_111_DELTA: ("X111", (("c1 of eta_p^* O(1)", "zeta_p", 1),
+                                     ("c1 of eta_q^* Q", "c1Q_q", 1))),
+    LemmaId.REL_111_RAM_P: ("X111", (
+        ("c1 of Omega_vert at p", "c1Omega_vert_p", 1),
+        ("c1 of W at p", "c1W_p", 1))),
+    LemmaId.REL_111_RAM_Q: ("X111", (
+        ("c1 of Omega_vert at q", "c1Omega_vert_q", 1),
+        ("c1 of W at q", "c1W_q", 1))),
+    LemmaId.REL_21_TRIPLE: ("PE", (("c1 of Omega_vert^2", "c1Omega_vert", 2),
+                                   ("c1 of W", "c1W", 1))),
+    LemmaId.REL_21_NODE: ("PE", _NODE),
+    LemmaId.REL_3_CONTACT4: ("X3", (("c1 of Omega_vert^3", "c1Omega_vert", 3),
+                                    ("c1 of W", "c1W", 1))),
+    LemmaId.REL_3_NODE: ("X3", _NODE),
+    LemmaId.REL_3_DELTA_INPUT: ("X3", "quoted"),
+    LemmaId.REL_3_TT: ("X3", "chain"),
 }
 
 #: frozen expected classes, in canonical serialization
@@ -131,17 +147,13 @@ class TrivialityReport:
         return self.passed
 
 
-def _ctx_for(lemma, g):
-    return build_space(_LEMMA_SPACE[lemma], g=g)
-
-
 #: (symbolic space, expected text) -> parsed class; the space carries the
 #: truncation, so a changed CHOWKIT_TRUNCATION never hits a stale ring
 _PARSED = {}
 
 
 def _expected_elem(lemma, g):
-    ctx = build_space(_LEMMA_SPACE[lemma])
+    ctx = build_space(_RELATIONS[lemma][0])
     key = (ctx, EXPECTED[lemma])
     symbolic = _PARSED.get(key)
     if symbolic is None:
@@ -151,13 +163,6 @@ def _expected_elem(lemma, g):
     return symbolic.evaluate(g)
 
 
-def _line_class(*summands):
-    total = summands[0]
-    for s in summands[1:]:
-        total = total + s
-    return total
-
-
 def verify_relation(lemma, g=None):
     """Rebuild one relation class from its recipe and compare.
 
@@ -165,52 +170,20 @@ def verify_relation(lemma, g=None):
     """
     if isinstance(lemma, str):
         lemma = LemmaId.from_string(lemma)
-    ctx = _ctx_for(lemma, g)
-    narrative = []
-
-    if lemma is LemmaId.REL_111_DELTA:
-        # the divisor is cut by a section of eta_p^* O(1) tensor eta_q^* Q
-        taut = ctx.gen("zeta_p")
-        cq = ctx.cls("c1Q_q")
-        narrative.append(("c1 of eta_p^* O(1)", taut))
-        narrative.append(("c1 of eta_q^* Q", cq))
-        computed = taut + cq
-    elif lemma in (LemmaId.REL_111_RAM_P, LemmaId.REL_111_RAM_Q):
-        s = "p" if lemma is LemmaId.REL_111_RAM_P else "q"
-        omega = ctx.cls(f"c1Omega_vert_{s}")
-        w = ctx.cls(f"c1W_{s}")
-        narrative.append((f"c1 of Omega_vert at {s}", omega))
-        narrative.append((f"c1 of W at {s}", w))
-        computed = _line_class(omega, w)
-    elif lemma is LemmaId.REL_21_TRIPLE:
-        omega = ctx.cls("c1Omega_vert")
-        w = ctx.cls("c1W")
-        narrative.append(("c1 of Omega_vert^2", 2 * omega))
-        narrative.append(("c1 of W", w))
-        computed = _line_class(2 * omega, w)
-    elif lemma in (LemmaId.REL_21_NODE, LemmaId.REL_3_NODE):
-        base = ctx.cls("c1Omega_base")
-        w = ctx.cls("c1W")
-        narrative.append(("c1 of gamma^* Omega_base", base))
-        narrative.append(("c1 of W", w))
-        computed = _line_class(base, w)
-    elif lemma is LemmaId.REL_3_CONTACT4:
-        omega = ctx.cls("c1Omega_vert")
-        w = ctx.cls("c1W")
-        narrative.append(("c1 of Omega_vert^3", 3 * omega))
-        narrative.append(("c1 of W", w))
-        computed = _line_class(3 * omega, w)
-    elif lemma is LemmaId.REL_3_DELTA_INPUT:
+    space, recipe = _RELATIONS[lemma]
+    if recipe == "quoted":
         # quoted input, not a derivation; restated directly
-        computed = _expected_elem(lemma, g)
-        narrative.append(("quoted divisor class", computed))
-    elif lemma is LemmaId.REL_3_TT:
-        report = tt_chain(g=g)
-        computed = report.tt_class
-        narrative.append(("tt chain result", computed))
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled lemma {lemma}")
-
+        narrative = (("quoted divisor class", _expected_elem(lemma, g)),)
+    elif recipe == "chain":
+        narrative = (("tt chain result", tt_chain(g=g).tt_class),)
+    else:
+        ctx = build_space(space, g=g)
+        narrative = []
+        for label, name, mult in recipe:
+            value = (ctx.gen(name) if ctx.ring.has_generator(name)
+                     else ctx.cls(name))
+            narrative.append((label, value if mult == 1 else mult * value))
+    computed = sum((value for _, value in narrative[1:]), narrative[0][1])
     expected = _expected_elem(lemma, g)
     return Verdict(lemma=lemma.value, computed=computed, expected=expected,
                    passed=(computed - expected).is_zero(),
@@ -237,11 +210,12 @@ def tt_chain(g=None):
             f"{LemmaId.REL_3_TT.value} and the tt chain need truncation "
             f"degree >= {TT_MIN_TRUNCATION} (set CHOWKIT_TRUNCATION to "
             f"{TT_MIN_TRUNCATION} or more); it is {ctx.truncation}")
+    # the free cover has the same generators, so its classes keep their
+    # terms; one free ring serves them all
     free = ctx.ring.free()
     zeta = free.gen("zeta_p")
-    a_free = lift(ctx.cls("c1E"), _FreeCtx(free))
-    w_free = lift(ctx.cls("c1W"), _FreeCtx(free))
-    om_free = lift(ctx.cls("c1Omega_vert"), _FreeCtx(free))
+    a_free, w_free, om_free = (free.element(ctx.cls(name).terms)
+                               for name in ("c1E", "c1W", "c1Omega_vert"))
 
     c3_free = principal_parts_chern(w_free, om_free, 2).top_chern()
     want_free = -3 * zeta ** 3 + 4 * a_free * zeta ** 2 \
@@ -292,33 +266,27 @@ def tt_chain(g=None):
                        alpha_Y=alpha, tt_class=tt_class)
 
 
-class _FreeCtx:
-    """Minimal context wrapper so lift() can target a free presentation."""
-
-    def __init__(self, ring):
-        self.ring = ring
-
-
 # -- triviality --
 
-_MU_NORMAL = {
-    (3,): (3,),
-    (2, 1): (2, 1),
-    (1, 1, 1): (1, 1, 1),
+#: mu -> (relation rows in documented order, degree-1 basis); base
+#: generators are not part of these systems
+_SYSTEMS = {
+    (3,): ((LemmaId.REL_3_DELTA_INPUT, LemmaId.REL_3_CONTACT4,
+            LemmaId.REL_3_NODE, LemmaId.REL_3_TT),
+           ("zeta_p", "z", "a1", "a2p")),
+    (2, 1): ((LemmaId.REL_21_TRIPLE, LemmaId.REL_21_NODE),
+             ("zeta_p", "z", "a1")),
+    (1, 1, 1): ((LemmaId.REL_111_DELTA, LemmaId.REL_111_RAM_P,
+                 LemmaId.REL_111_RAM_Q),
+                ("zeta_p", "zeta_q", "z", "a1")),
 }
 
 _BASE_GENS_DEG1 = ("a1", "a2p")
-_BASE_GENS_DEG2 = ("a2", "c2")
-
-#: row order of the homogeneous mu=(3) system
-_MU3_ROWS = (LemmaId.REL_3_DELTA_INPUT, LemmaId.REL_3_CONTACT4,
-             LemmaId.REL_3_NODE, LemmaId.REL_3_TT)
-_MU3_BASIS = ("zeta_p", "z", "a1", "a2p")
 
 
 def normalize_mu(mu):
     key = tuple(sorted(mu, reverse=True))
-    if key not in _MU_NORMAL:
+    if key not in _SYSTEMS:
         raise ValueError(f"mu must be (3), (2,1) or (1,1,1), got {tuple(mu)}")
     return key
 
@@ -349,17 +317,7 @@ def relation_matrix(mu, g=None):
     Rows come straight from the verified relation classes, in documented
     order; base generators are not included here.
     """
-    mu = normalize_mu(mu)
-    if mu == (3,):
-        lemmas = _MU3_ROWS
-        basis = _MU3_BASIS
-    elif mu == (2, 1):
-        lemmas = (LemmaId.REL_21_TRIPLE, LemmaId.REL_21_NODE)
-        basis = ("zeta_p", "z", "a1")
-    else:
-        lemmas = (LemmaId.REL_111_DELTA, LemmaId.REL_111_RAM_P,
-                  LemmaId.REL_111_RAM_Q)
-        basis = ("zeta_p", "zeta_q", "z", "a1")
+    lemmas, basis = _SYSTEMS[normalize_mu(mu)]
     rows = []
     for lemma in lemmas:
         verdict = verify_relation(lemma, g=g)
@@ -374,23 +332,6 @@ def relation_determinant():
     """Determinant of the 4x4 mu=(3) system in basis (zeta_p, z, a1, a2p)."""
     _, rows, _ = relation_matrix((3,))
     return bareiss_det(rows)
-
-
-def triviality_check(mu, g=None):
-    """Certify that every positive-degree generator dies for this mu.
-
-    Base-ring generators (a1, a2, a2p, c2) vanish as a trusted input; the
-    certificate shows the relation set then kills the remaining degree-1
-    generators, with denominators that provably never vanish at integers
-    g >= 0.  Substituted solutions are re-checked against every relation
-    exactly.
-    """
-    mu = normalize_mu(mu)
-    if mu == (2, 1):
-        return _triviality_21(g)
-    if mu == (1, 1, 1):
-        return _triviality_111(g)
-    return _triviality_3(g)
 
 
 def _gpoly(g):
@@ -505,3 +446,19 @@ def _triviality_3(g):
     return TrivialityReport(mu=(3,), passed=ok, narrative=tuple(narrative),
                             determinant=det, det_roots=roots, rank=rank,
                             basis=basis)
+
+
+_CERTIFICATES = {(3,): _triviality_3, (2, 1): _triviality_21,
+                 (1, 1, 1): _triviality_111}
+
+
+def triviality_check(mu, g=None):
+    """Certify that every positive-degree generator dies for this mu.
+
+    Base-ring generators (a1, a2, a2p, c2) vanish as a trusted input; the
+    certificate shows the relation set then kills the remaining degree-1
+    generators, with denominators that provably never vanish at integers
+    g >= 0.  Substituted solutions are re-checked against every relation
+    exactly.
+    """
+    return _CERTIFICATES[normalize_mu(mu)](g)

@@ -2,12 +2,15 @@
 frozen report schema."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import chowkit
 from chowkit.cli import Report, main, parse_g_spec
 
 
@@ -231,6 +234,22 @@ class TestDetCommand:
         assert out == ""
         assert "aborted at stage 'tt-class'" in err
 
+    def test_singular_system_exits_1(self, capsys, monkeypatch, schema):
+        import chowkit.verify as verify_mod
+        from chowkit.verify import LemmaId
+        # quote the node class as the delta input: two equal rows
+        broken = dict(verify_mod.EXPECTED)
+        broken[LemmaId.REL_3_DELTA_INPUT] = "3*zeta_p - (g+4)*z - a1"
+        monkeypatch.setattr(verify_mod, "EXPECTED", broken)
+        code, out, _ = run(capsys, "det", "--format", "json")
+        assert code == 1
+        validate_report(schema, out)
+        payload = json.loads(out)
+        assert payload["determinant"]["poly"] == "0"
+        assert payload["determinant"]["nonneg-integer-roots"] == []
+        assert payload["determinant"]["rank"] == 3
+        assert payload["overall-pass"] is False
+
     def test_runs_tt_chain_once(self, capsys, monkeypatch):
         import chowkit.verify as verify_mod
         calls = []
@@ -327,8 +346,14 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_module_entry_point(self):
+        # the child imports the same package as this process, installed or
+        # found through pytest's pythonpath setting
+        src = str(Path(chowkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))
         out = subprocess.run(
             [sys.executable, "-m", "chowkit", "--version"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
         assert out.returncode == 0
         assert out.stdout.strip().startswith("chowkit ")

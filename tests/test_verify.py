@@ -25,6 +25,11 @@ EXPECTED_STRINGS = {
     "REL-3-TT": "-zeta_p - g*z - a1 + 3*a2p",
 }
 
+#: lemmas rebuilt from line-bundle recipes: all but the quoted input and
+#: the tt chain result
+DERIVED = [l for l in LemmaId
+           if l not in (LemmaId.REL_3_DELTA_INPUT, LemmaId.REL_3_TT)]
+
 
 class TestLemmaId:
     def test_round_trip(self):
@@ -51,6 +56,17 @@ class TestRelations:
     def test_sampled(self, g):
         for lemma, verdict in verify_all(g=g).items():
             assert verdict.passed, lemma
+
+    @pytest.mark.parametrize("g", [None, 3])
+    @pytest.mark.parametrize("lemma", DERIVED, ids=[l.value for l in DERIVED])
+    def test_computed_is_sum_of_narrative(self, lemma, g):
+        verdict = verify_relation(lemma, g=g)
+        values = [value for _, value in verdict.narrative]
+        assert len(values) >= 2
+        total = values[0]
+        for value in values[1:]:
+            total = total + value
+        assert total == verdict.computed
 
     def test_delta_at_g4(self):
         v = verify_relation(LemmaId.REL_111_DELTA, g=4)
@@ -176,6 +192,12 @@ class TestRelationMatrix:
         basis, rows, labels = relation_matrix((1, 1, 1))
         assert basis == ("zeta_p", "zeta_q", "z", "a1")
         assert labels == ("REL-111-DELTA", "REL-111-RAM-P", "REL-111-RAM-Q")
+
+    def test_systems_partition_the_lemmas(self):
+        labels = [label for mu in ((3,), (2, 1), (1, 1, 1))
+                  for label in relation_matrix(mu)[2]]
+        assert len(labels) == len(set(labels))
+        assert set(labels) == {lemma.value for lemma in LemmaId}
 
     def test_unsorted_mu_normalized(self):
         assert relation_matrix((1, 2))[0] == relation_matrix((2, 1))[0]
