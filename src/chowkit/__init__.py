@@ -19,9 +19,8 @@ from .strata import (FactorSpace, StratumDescriptor, branch_count, classify_fact
                      enumerate_codim1, format_stratum, oracle_enumerate,
                      stability_value)
 from .verify import (ChainReport, LemmaId, StageFailure, TrivialityReport,
-                     TruncationTooLow, Verdict, relation_determinant,
-                     relation_matrix, tt_chain, triviality_check, verify_all,
-                     verify_relation)
+                     TruncationTooLow, Verdict, relation_matrix, tt_chain,
+                     triviality_check, verify_all, verify_relation)
 
 __all__ = [
     "__version__",
@@ -36,6 +35,6 @@ __all__ = [
     "stability_value",
     "ChainReport", "LemmaId", "StageFailure", "TrivialityReport",
     "TruncationTooLow", "Verdict",
-    "relation_determinant", "relation_matrix", "tt_chain",
+    "relation_matrix", "tt_chain",
     "triviality_check", "verify_all", "verify_relation",
 ]

@@ -11,20 +11,19 @@ fiberwise cubic are independent.  A cubic on the Hirzebruch-style surface
 is written f = a*y**3 + b*y**2 + c*y + d off the directrix, where the
 coefficient a, b, c, d are polynomials on the base P^1 of degrees
 2m-n, m, n, 2n-m.  Jets are divided derivatives, so all entries are
-binomial coefficients times monomial values and stay in Q.
+binomial coefficients times monomial values: in Q at a concrete fiber
+position, and polynomials at a generic one, which gets an indeterminate
+y so that the rank is the exact generic rank over Q(y).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .linalg import rank_fraction
-from .ring import ChowElement
-
-_Y_SWEEP = (Fraction(1), Fraction(2), Fraction(3), Fraction(5))
+from .ring import ChowElement, G
 
 
 class BundleClass:
@@ -210,9 +209,9 @@ def in_locus_B(m, n):
 class JetPoint:
     """Point condition: jets rows of vanishing at x, fiber position y.
 
-    y=None asks for a generic fiber position (the rank computation sweeps
-    a few rational values and keeps the max).  on_directrix puts the point
-    at y = infinity, where the cubic is read in the w = 1/y chart.
+    y=None asks for a generic fiber position: jet_matrix gives the point an
+    indeterminate y, so ranks are taken over Q(y).  on_directrix puts the
+    point at y = infinity, where the cubic is read in the w = 1/y chart.
     """
 
     x: Fraction
@@ -238,8 +237,12 @@ def jet_matrix(m, n, points, same_fiber=False):
 
     Columns: monomials x**t in each coefficient block (a, b, c, d), skipping
     blocks of negative degree.  Rows: for each point, its divided y-jets
-    of order 0..jets-1.  Every y must be concrete here; sweeping generic
-    points is jet_rank's job.
+    of order 0..jets-1.  The i-th point with y=None gets the polynomial
+    fiber position y = G**(7**i), so its entries are ParamPoly.  A point's
+    k-th row has y-degree at most 3 - k, so a minor has degree at most
+    3 + 2 + 1 = 6 in each point's y, and this Kronecker substitution keeps
+    every nonzero minor nonzero: ranks over Q(G) are the generic ranks
+    over Q(y).
     """
     degs = splitting_sym3(m, n)
     blocks = [max(0, d + 1) for d in degs]
@@ -248,9 +251,12 @@ def jet_matrix(m, n, points, same_fiber=False):
         raise ValueError("two points share a fiber; pass same_fiber=True "
                          "if that is intended")
     rows = []
+    free = 0
     for pt in points:
-        if not pt.on_directrix and pt.y is None:
-            raise ValueError("concrete y required; use jet_rank to sweep")
+        y = pt.y
+        if not pt.on_directrix and y is None:
+            y = G ** (7 ** free)
+            free += 1
         for k in range(pt.jets):
             row = []
             for bi, ncols in enumerate(blocks):
@@ -263,38 +269,19 @@ def jet_matrix(m, n, points, same_fiber=False):
                     if k > p:
                         val = Fraction(0)
                     else:
-                        val = comb(p, k) * pt.y ** (p - k)
+                        val = comb(p, k) * y ** (p - k)
                 row.extend(val * pt.x ** t for t in range(ncols))
             rows.append(row)
     return rows
 
 
 def jet_rank(m, n, points=None, same_fiber=False):
-    """((rows, cols), rank) of the jet matrix, sweeping generic points.
+    """((rows, cols), rank) of the jet matrix at generic fiber positions.
 
-    Points with y=None off the directrix are swept over a few rational
-    fiber positions (all combinations, avoiding coincident points); the
-    reported rank is the max, which is the generic value.
+    The rank is exact over Q(y) for the points with y=None (see jet_matrix).
     """
     if points is None:
         points = default_3p3q()
-    degs = splitting_sym3(m, n)
-    ncols = sum(max(0, d + 1) for d in degs)
-    nrows = sum(p.jets for p in points)
-
-    free = [i for i, p in enumerate(points)
-            if p.y is None and not p.on_directrix]
-    best = 0
-    for combo in itertools.product(_Y_SWEEP, repeat=len(free)):
-        filled = list(points)
-        for idx, y in zip(free, combo):
-            filled[idx] = JetPoint(x=filled[idx].x, jets=filled[idx].jets,
-                                   y=y)
-        seen = {(p.x, p.y) for p in filled if not p.on_directrix}
-        if len(seen) != sum(1 for p in filled if not p.on_directrix):
-            continue
-        rank = rank_fraction(jet_matrix(m, n, filled, same_fiber=same_fiber))
-        best = max(best, rank)
-        if best == min(nrows, ncols):
-            break
-    return (nrows, ncols), best
+    ncols = sum(max(0, d + 1) for d in splitting_sym3(m, n))
+    rows = jet_matrix(m, n, points, same_fiber=same_fiber)
+    return (len(rows), ncols), rank_fraction(rows)

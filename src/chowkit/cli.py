@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bundles import JetPoint, in_locus_B, jet_rank
+from .spaces import _truncation_from_env
 from .strata import (enumerate_codim1, format_factor, format_stratum,
                      oracle_enumerate)
 from .verify import (LemmaId, StageFailure, TruncationTooLow,
@@ -164,6 +165,16 @@ def _emit(report, fmt, out):
           file=out)
 
 
+def _truncation_ok(err):
+    """False, with the reason on err, when CHOWKIT_TRUNCATION is unusable."""
+    try:
+        _truncation_from_env()
+    except ValueError as exc:
+        print(str(exc), file=err)
+        return False
+    return True
+
+
 def cmd_verify(args, out=None, err=None):
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
@@ -180,6 +191,8 @@ def cmd_verify(args, out=None, err=None):
         except ValueError as exc:
             print(str(exc), file=err)
             return 2
+    if not _truncation_ok(err):
+        return 2
 
     mode = "symbolic" if g_values is None else "sampled"
     report = _empty_report(mode=mode,
@@ -240,6 +253,8 @@ def cmd_strata(args, out=None, err=None):
 def cmd_det(args, out=None, err=None):
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
+    if not _truncation_ok(err):
+        return 2
     try:
         cert = triviality_check((3,))
     except TruncationTooLow as exc:

@@ -1,15 +1,15 @@
 """Exact linear algebra over Q and over Q[g].
 
 Small dense matrices only.  Entries are Fractions (after specializing g)
-or ParamPoly (symbolic in g).  Determinants use fraction-free Bareiss
-elimination so every intermediate division is exact; symbolic ranks insist
-on pivots that provably never vanish at integers g >= 0, and raise when
-no such pivot can be found rather than report a rank that might drop.
+or ParamPoly (symbolic in g).  Ranks and determinants share one
+fraction-free Bareiss elimination, so every intermediate division is
+exact; the callers differ only in which pivots they accept.  Generic ranks
+and determinants take any nonzero pivot; certified symbolic ranks insist on
+pivots that provably never vanish at integers g >= 0, and raise when no
+such pivot can be found rather than report a rank that might drop.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .ring import ParamPoly
 
@@ -23,60 +23,69 @@ def _check_rect(rows):
         raise ValueError("ragged matrix")
 
 
-def rank_fraction(rows):
-    """Rank of a matrix with Fraction (or int) entries."""
+def _eliminate(rows, usable):
+    """Fraction-free Gaussian elimination (Bareiss); (rank, sign, pivot).
+
+    Entries may be ParamPoly, Fraction or int.  Each step takes the first
+    column, in order, with an entry accepted by usable in a row not yet
+    used, swaps that row up and updates every non-pivot column by exact
+    division by the previous pivot.  After k steps each entry is the
+    (k+1)-minor on the pivot rows and columns plus its own row and column,
+    so the divisions are exact and the last pivot is the leading minor.
+    sign is the parity of the row swaps.  Raises ValueError when nonzero
+    entries remain but none is usable.
+    """
     _check_rect(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, nrows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col]
-        for i in range(row + 1, nrows):
-            if m[i][col] == 0:
-                continue
-            f = m[i][col] / inv
-            for j in range(col, ncols):
-                m[i][j] -= f * m[row][j]
-        row += 1
-        rank += 1
-        if row == nrows:
+    m = _poly_rows(rows)
+    free_cols = list(range(len(m[0]) if m else 0))
+    rank, sign, prev = 0, 1, ParamPoly.const(1)
+    while rank < len(m):
+        pick = next(((i, c) for c in free_cols
+                     for i in range(rank, len(m)) if usable(m[i][c])), None)
+        if pick is None:
+            leftovers = [p for row in m[rank:] for p in row if p]
+            if leftovers:
+                raise ValueError(
+                    "no certified pivot among remaining entries: "
+                    + ", ".join(str(p) for p in leftovers[:4]))
             break
-    return rank
+        i, col = pick
+        if i != rank:
+            m[rank], m[i] = m[i], m[rank]
+            sign = -sign
+        top = m[rank]
+        piv = top[col]
+        free_cols.remove(col)
+        for row in m[rank + 1:]:
+            f = row[col]
+            for j in free_cols:  # zero products need no arithmetic
+                if f and top[j]:
+                    row[j] = (piv * row[j] - f * top[j]).exact_div(prev)
+                elif row[j]:
+                    row[j] = (piv * row[j]).exact_div(prev)
+            row[col] = ParamPoly()
+        prev = piv
+        rank += 1
+    return rank, sign, prev
+
+
+def rank_fraction(rows):
+    """Rank over the fraction field: of Q, or of Q(g) for ParamPoly entries.
+
+    Any nonzero pivot is accepted, so for ParamPoly entries this is the
+    generic rank, which may drop at particular values of g.
+    """
+    return _eliminate(rows, bool)[0]
 
 
 def bareiss_det(rows):
     """Determinant of a square ParamPoly matrix, fraction-free."""
-    _check_rect(rows)
-    m = _poly_rows(rows)
-    n = len(m)
-    if n == 0:
-        return ParamPoly.const(1)
-    if any(len(r) != n for r in m):
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = ParamPoly.const(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n)
-                         if not m[i][k].is_zero()), None)
-            if swap is None:
-                return ParamPoly()
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j]
-                           - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = ParamPoly()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    rank, sign, last = _eliminate(rows, bool)
+    if rank < len(rows):
+        return ParamPoly()
+    return last if sign > 0 else -last
 
 
 def solve_cramer(rows, rhs):
@@ -112,52 +121,14 @@ def param_rank(rows):
     """Rank of a ParamPoly matrix, valid at every integer g >= 0.
 
     Fraction-free elimination choosing only pivots that provably never
-    vanish at a nonnegative integer (no such root exists).  When nonzero
-    entries remain but none can serve as a certified pivot, raises
-    ValueError rather than guess; callers can fall back to sampling.
+    vanish at a nonnegative integer (no such root exists).  The k-th
+    pivot is a k-minor, so at every such g the rank is at least k, and
+    once the remaining entries vanish identically it is exactly the number
+    of pivots.  When nonzero entries remain but none can serve as a
+    certified pivot, raises ValueError rather than guess; callers can fall
+    back to sampling.
     """
-    _check_rect(rows)
-    m = _poly_rows(rows)
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    top = 0
-    done_cols = set()
-    while top < nrows:
-        pick = None
-        for col in range(ncols):
-            if col in done_cols:
-                continue
-            for i in range(top, nrows):
-                entry = m[i][col]
-                if entry.is_zero():
-                    continue
-                if entry.nonvanishing_for_nonneg_g():
-                    pick = (i, col)
-                    break
-            if pick:
-                break
-        if pick is None:
-            leftovers = [m[i][col] for i in range(top, nrows)
-                         for col in range(ncols) if not m[i][col].is_zero()]
-            if leftovers:
-                raise ValueError(
-                    "no certified pivot among remaining entries: "
-                    + ", ".join(str(p) for p in leftovers[:4]))
-            break
-        i, col = pick
-        m[top], m[i] = m[i], m[top]
-        piv = m[top][col]
-        for r in range(top + 1, nrows):
-            if m[r][col].is_zero():
-                continue
-            f = m[r][col]
-            for c in range(ncols):
-                m[r][c] = piv * m[r][c] - f * m[top][c]
-        done_cols.add(col)
-        rank += 1
-        top += 1
-    return rank
+    return _eliminate(rows, ParamPoly.nonvanishing_for_nonneg_g)[0]
 
 
 def rank_at_samples(rows, g_values):

@@ -32,8 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-
-_ROOT_SWEEP_LIMIT = 10 ** 6
+from math import isqrt, lcm
 
 
 def _as_fraction(x):
@@ -184,18 +183,26 @@ class ParamPoly:
         return acc
 
     def nonneg_integer_roots(self):
-        """All integer roots n >= 0, by sweeping up to the Cauchy bound."""
+        """All integer roots n >= 0, by the rational root theorem.
+
+        With denominators cleared and g**k factored out, p is g**k times
+        an integer polynomial q with q(0) != 0.  So 0 is a root iff k > 0,
+        and a positive root divides q(0) and lies within the Cauchy bound
+        of q; only those divisors are tested, found by trial division up to
+        the square root of |q(0)|.
+        """
         if self.is_zero():
             raise ValueError("zero polynomial vanishes at every g")
-        if self.degree < 1:
-            return []
-        lead = abs(self.coeffs[-1])
-        rest = max((abs(c) for c in self.coeffs[:-1]), default=Fraction(0))
-        bound = 1 + rest / lead
-        limit = int(bound) + 1
-        if limit > _ROOT_SWEEP_LIMIT:
-            raise ValueError(f"root bound {limit} too large to sweep")
-        return [n for n in range(limit + 1) if self(n) == 0]
+        scale = lcm(*(c.denominator for c in self.coeffs))
+        ints = [int(c * scale) for c in self.coeffs]
+        q = ints[next(i for i, c in enumerate(ints) if c):]
+        bound = 1 + max(map(abs, q[:-1]), default=0) // abs(q[-1])
+        const = abs(q[0])
+        candidates = {0}
+        for d in range(1, min(isqrt(const), bound) + 1):
+            if const % d == 0:
+                candidates.update((d, const // d))
+        return sorted(r for r in candidates if r <= bound and self(r) == 0)
 
     def nonvanishing_for_nonneg_g(self):
         """True when p(n) != 0 for every integer n >= 0, provably."""
@@ -373,7 +380,10 @@ class RingPresentation:
             else rewrite_order)
 
     def specialize(self, g_value):
-        """Presentation with g fixed to a rational number."""
+        """Presentation with g fixed to a rational number.
+
+        Only the latest one is kept, so a sweep over g stays bounded.
+        """
         g_value = _as_fraction(g_value)
         hit = self._specialized.get(g_value)
         if hit is not None:
@@ -388,7 +398,7 @@ class RingPresentation:
             truncation_degree=self.truncation_degree,
             rules_enabled=self.rules_enabled,
             rewrite_order=self.rewrite_order)
-        self._specialized[g_value] = spec
+        self._specialized = {g_value: spec}
         return spec
 
     # -- element constructors --

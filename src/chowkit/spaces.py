@@ -185,7 +185,9 @@ def build_space(space_id, g=None, truncation=None):
     """SpaceContext for one of B, P, PE, X3, X111, Xtilde3.
 
     g=None keeps the genus symbolic; an int or Fraction specializes it.
-    Contexts are cached per (space, g, truncation).
+    Contexts are cached per (space, g, truncation): the symbolic ones all
+    stay, specialized ones only for the most recent genus, so a long sweep
+    over g does not grow the cache.
     """
     if space_id not in SPACE_IDS:
         raise ValueError(f"unknown space id {space_id!r}; "
@@ -201,6 +203,8 @@ def build_space(space_id, g=None, truncation=None):
     ring = _presentation(space_id, truncation)
     classes = _named_classes(space_id, ring)
     if g is not None:
+        for stale in [k for k in _CACHE if k[1] not in (None, g)]:
+            del _CACHE[stale]
         ring = ring.specialize(g)
         classes = {k: v.evaluate(g) for k, v in classes.items()}
     ctx = SpaceContext(space_id, ring, classes, g, truncation)

@@ -328,12 +328,6 @@ def relation_matrix(mu, g=None):
     return basis, rows, tuple(lemma.value for lemma in lemmas)
 
 
-def relation_determinant():
-    """Determinant of the 4x4 mu=(3) system in basis (zeta_p, z, a1, a2p)."""
-    _, rows, _ = relation_matrix((3,))
-    return bareiss_det(rows)
-
-
 def _gpoly(g):
     return G if g is None else ParamPoly.const(g)
 

@@ -293,6 +293,24 @@ class TestTruncationGuard:
         assert out.splitlines()[-1] == "overall: PASS"
 
 
+@pytest.mark.parametrize("truncation", ["abc", "0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--g", "symbolic"),
+    ("verify", "--g", "0..2", "--format", "json"),
+    ("verify", "--lemma", "REL-111-DELTA"),
+    ("det",),
+    ("det", "--format", "json"),
+])
+def test_bad_truncation_is_a_usage_error(capsys, monkeypatch, truncation,
+                                         argv):
+    monkeypatch.setenv("CHOWKIT_TRUNCATION", truncation)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "CHOWKIT_TRUNCATION must be" in err
+    assert "Traceback" not in err
+
+
 class TestJetCommand:
     def test_off_directrix(self, capsys):
         code, out, _ = run(capsys, "jet", "--m", "2", "--n", "4")

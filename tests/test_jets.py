@@ -2,7 +2,7 @@
 
 The section space is H^0 of the rank-4 splitting [2m-n, m, n, 2n-m].
 Jets are taken in an affine chart off the directrix and in the w-chart
-on it; ranks are maximized over a small sweep of fiber coordinates.
+on it; a generic fiber coordinate is an indeterminate, so ranks are exact.
 """
 
 from fractions import Fraction

@@ -58,6 +58,14 @@ class TestParamPoly:
         with pytest.raises(ValueError):
             poly(0).nonneg_integer_roots()
 
+    def test_nonneg_integer_roots_have_no_cap(self):
+        assert poly(-2000000, 1).nonneg_integer_roots() == [2000000]
+        # the Cauchy bound is above 10**7, yet there is no root
+        p = poly(Fraction(10000001, 10 ** 7), Fraction(1, 10 ** 7))
+        assert p.nonneg_integer_roots() == []
+        big = poly(-(10 ** 12 + 39), 1) * poly(-3, 1) * poly(0, 0, 1)
+        assert big.nonneg_integer_roots() == [0, 3, 10 ** 12 + 39]
+
     def test_nonvanishing_for_nonneg_g(self):
         assert poly(2, 2).nonvanishing_for_nonneg_g()
         assert poly(-2, -2).nonvanishing_for_nonneg_g()

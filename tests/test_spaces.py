@@ -39,6 +39,22 @@ def test_build_space_caches():
     assert build_space("PE") is not build_space("PE", g=4)
 
 
+def test_caches_stay_bounded_over_a_genus_sweep(monkeypatch):
+    """Only the symbolic contexts and those of the latest genus stay
+    cached, and each symbolic ring keeps one specialization."""
+    import chowkit.spaces as spaces_mod
+    from chowkit.cli import main
+    monkeypatch.delenv("CHOWKIT_TRUNCATION", raising=False)
+    monkeypatch.setattr(spaces_mod, "_CACHE", {})
+    assert main(["verify", "--g", "0..40"]) == 0
+    cache = spaces_mod._CACHE
+    assert len(cache) <= 12
+    assert {g for _, g, _ in cache} == {None, 40}
+    for (_, g, _), ctx in cache.items():
+        if g is None:
+            assert len(ctx.ring._specialized) <= 1
+
+
 def test_specialized_space(spaces):
     pe4 = build_space("PE", g=4)
     assert pe4.g_value == 4

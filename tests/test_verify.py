@@ -10,8 +10,8 @@ from chowkit.linalg import (bareiss_det, param_rank, rank_at_samples,
 from chowkit.ring import ParamPoly
 from chowkit.spaces import build_space
 from chowkit.verify import (LemmaId, StageFailure, TruncationTooLow,
-                            relation_determinant, relation_matrix, tt_chain,
-                            triviality_check, verify_all, verify_relation)
+                            relation_matrix, tt_chain, triviality_check,
+                            verify_all, verify_relation)
 
 EXPECTED_STRINGS = {
     "REL-111-DELTA": "zeta_p + zeta_q - (g+2)*z - a1",
@@ -167,6 +167,8 @@ class TestLinalg:
         with pytest.raises(ValueError):
             # the only pivot candidate vanishes at g = 0
             param_rank([[g]])
+        # a root far out is found exactly, so the 1 is the certified pivot
+        assert param_rank([[g - 2000000, 1]]) == 1
 
     def test_rank_at_samples(self):
         one = ParamPoly.const(1)
@@ -208,8 +210,10 @@ class TestRelationMatrix:
 
 
 class TestDeterminant:
+    """The mu=(3) determinant, as its triviality certificate holds it."""
+
     def test_polynomial(self):
-        det = relation_determinant()
+        det = triviality_check((3,)).determinant
         assert str(det) == "-72*g**2-108*g-36"
         # -36 (2g+1)(g+1)
         two_g_plus_1 = ParamPoly((Fraction(1), Fraction(2)))
@@ -217,10 +221,11 @@ class TestDeterminant:
         assert det == ParamPoly.const(-36) * two_g_plus_1 * g_plus_1
 
     def test_value_at_zero(self):
-        assert abs(relation_determinant()(0)) == 36
+        assert abs(triviality_check((3,)).determinant(0)) == 36
 
     def test_no_nonneg_integer_roots(self):
-        assert relation_determinant().nonneg_integer_roots() == []
+        det = triviality_check((3,)).determinant
+        assert det.nonneg_integer_roots() == []
 
     def test_rank_over_samples(self):
         _, rows, _ = relation_matrix((3,))
