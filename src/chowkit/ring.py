@@ -32,7 +32,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
 
 
 def _as_fraction(x):
@@ -183,26 +182,53 @@ class ParamPoly:
         return acc
 
     def nonneg_integer_roots(self):
-        """All integer roots n >= 0, by the rational root theorem.
+        """All integer roots n >= 0, by Sturm sequences and bisection.
 
-        With denominators cleared and g**k factored out, p is g**k times
-        an integer polynomial q with q(0) != 0.  So 0 is a root iff k > 0,
-        and a positive root divides q(0) and lies within the Cauchy bound
-        of q; only those divisors are tested, found by trial division up to
-        the square root of |q(0)|.
+        0 is a root iff p(0) == 0; constants and linear p are answered
+        directly.  Otherwise the square-free part s = p / gcd(p, p') has
+        simple roots only, so the sign variations V of its Sturm chain count
+        its roots in (a, b] as V(a) - V(b), even at an endpoint that is a
+        root.  Integer intervals in (0, Cauchy bound] are bisected until each
+        one holding a root has width 1, and its right end is tested exactly:
+        time polynomial in the degree and the size of the coefficients.
         """
         if self.is_zero():
             raise ValueError("zero polynomial vanishes at every g")
-        scale = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * scale) for c in self.coeffs]
-        q = ints[next(i for i, c in enumerate(ints) if c):]
-        bound = 1 + max(map(abs, q[:-1]), default=0) // abs(q[-1])
-        const = abs(q[0])
-        candidates = {0}
-        for d in range(1, min(isqrt(const), bound) + 1):
-            if const % d == 0:
-                candidates.update((d, const // d))
-        return sorted(r for r in candidates if r <= bound and self(r) == 0)
+        if self.degree == 0:
+            return []
+        if self.degree == 1:
+            root = -self.coeffs[0] / self.coeffs[1]
+            return [int(root)] if root >= 0 and root.denominator == 1 else []
+        roots = [0] if self.coeffs[0] == 0 else []
+        gcd, rest = self, self._derivative()
+        while rest:
+            gcd, rest = rest, gcd.divmod(rest)[1]
+        chain = [self.exact_div(gcd)]
+        chain.append(chain[0]._derivative())
+        while chain[-1].degree > 0:
+            chain.append(-chain[-2].divmod(chain[-1])[1])
+
+        def variations(x):
+            signs = [v > 0 for v in (q(x) for q in chain) if v != 0]
+            return sum(a != b for a, b in zip(signs, signs[1:]))
+
+        bound = 1 + max(map(abs, self.coeffs[:-1])) // abs(self.coeffs[-1])
+        todo = [(0, bound, variations(0), variations(bound))]
+        while todo:
+            lo, hi, v_lo, v_hi = todo.pop()
+            if v_lo == v_hi:
+                continue
+            if hi - lo == 1:
+                if self(hi) == 0:
+                    roots.append(hi)
+                continue
+            mid = (lo + hi) // 2
+            v_mid = variations(mid)
+            todo += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+        return sorted(roots)
+
+    def _derivative(self):
+        return ParamPoly(i * c for i, c in enumerate(self.coeffs) if i)
 
     def nonvanishing_for_nonneg_g(self):
         """True when p(n) != 0 for every integer n >= 0, provably."""

@@ -1,8 +1,10 @@
 """The tower of spaces and its pushforward operators.
 
-Six spaces, all presented over the same degree-truncated coefficient ring:
+``_TOWER`` gives each space its zetas and the space one step below it;
+every presentation, named class and pushforward is read off that table.
+All six spaces share one degree-truncated coefficient ring:
 
-    B        base; free on a1, a2, a2p, c2
+    B        base; free on a1, a2, a2p, c2 (no z: zetas None)
     P        P1-bundle over B; adds z with z**2 = -c2
     PE, X3   P1-bundle over P; adds zeta_p with zeta**2 = A*zeta - B,
              A = a1 + (g+2)*z, B = a2 + a2p*z
@@ -10,11 +12,13 @@ Six spaces, all presented over the same degree-truncated coefficient ring:
              fiber square over P resp. over B; adds zeta_q with the same
              square rule
 
-PE and X3 (and X111 and Xtilde3) are distinct labels for structurally
-identical presentations; elements compare across the pair.  Pushforwards
-extract the linear coefficient of the relevant tautological class (the
-rank-2 projective bundle formula: gamma_* (zeta * gamma^* beta) = beta,
-gamma_* gamma^* beta = 0), pullbacks are generator renamings, and the
+The generators are the zetas, z, then the base ones; rewriting takes the
+zetas in reverse, then z.  PE and X3 (and X111 and Xtilde3) are one recipe
+under two labels that differ only in the space below; elements compare
+across the pair.  A pushforward is one step down: the linear coefficient
+of the generator that the step introduced (a zeta, or z on P), by the
+rank-2 projective bundle formula gamma_* (zeta * gamma^* beta) = beta,
+gamma_* gamma^* beta = 0.  Pullbacks are generator renamings, and the
 diagonal restriction substitutes zeta_q -> zeta_p.
 
 Truncation degree comes from the CHOWKIT_TRUNCATION environment variable
@@ -24,17 +28,25 @@ when not passed explicitly (default 4).
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import G, Generator, ParamPoly, RingPresentation
 
-SPACE_IDS = ("B", "P", "PE", "X111", "X3", "Xtilde3")
+#: space -> (zetas, space one step below); B has no z, marked by None
+_TOWER = {
+    "B": (None, None),
+    "P": ((), "B"),
+    "PE": (("zeta_p",), "P"),
+    "X111": (("zeta_p", "zeta_q"), "PE"),
+    "X3": (("zeta_p",), "P"),
+    "Xtilde3": (("zeta_p", "zeta_q"), "X3"),
+}
+
+SPACE_IDS = tuple(_TOWER)
 
 _BASE_GENS = (Generator("a1", 1), Generator("a2", 2),
               Generator("a2p", 1), Generator("c2", 2))
-
-#: pushforward target of each fibration step
-_GAMMA_TARGET = {"PE": "P", "X3": "P", "X111": "PE", "Xtilde3": "X3"}
 
 _DEFAULT_TRUNCATION = 4
 
@@ -52,19 +64,6 @@ def _truncation_from_env():
     return value
 
 
-def _space_generators(space_id):
-    if space_id == "B":
-        return _BASE_GENS
-    if space_id == "P":
-        return (Generator("z", 1),) + _BASE_GENS
-    if space_id in ("PE", "X3"):
-        return (Generator("zeta_p", 1), Generator("z", 1)) + _BASE_GENS
-    if space_id in ("X111", "Xtilde3"):
-        return (Generator("zeta_p", 1), Generator("zeta_q", 1),
-                Generator("z", 1)) + _BASE_GENS
-    raise ValueError(f"unknown space id {space_id!r}")
-
-
 def _mono(gens, **powers):
     names = [gq.name for gq in gens]
     exps = [0] * len(gens)
@@ -73,82 +72,63 @@ def _mono(gens, **powers):
     return tuple(exps)
 
 
-def _zeta_rule(gens, zeta):
-    """zeta**2 -> A*zeta - B with A = a1 + (g+2)z, B = a2 + a2p*z."""
+def _square_rule(gens, name):
+    """z**2 -> -c2; zeta**2 -> A*zeta - B with A = a1 + (g+2)z,
+    B = a2 + a2p*z."""
     m = lambda **kw: _mono(gens, **kw)
+    if name == "z":
+        return {m(c2=1): ParamPoly.const(-1)}
     return {
-        m(**{zeta: 1, "a1": 1}): ParamPoly.const(1),
-        m(**{zeta: 1, "z": 1}): G + 2,
+        m(**{name: 1, "a1": 1}): ParamPoly.const(1),
+        m(**{name: 1, "z": 1}): G + 2,
         m(a2=1): ParamPoly.const(-1),
         m(a2p=1, z=1): ParamPoly.const(-1),
     }
 
 
 def _presentation(space_id, truncation):
-    gens = _space_generators(space_id)
-    rules = {}
-    order = []
-    if space_id in ("X111", "Xtilde3"):
-        rules["zeta_q"] = _zeta_rule(gens, "zeta_q")
-        rules["zeta_p"] = _zeta_rule(gens, "zeta_p")
-        order = ["zeta_q", "zeta_p", "z"]
-    elif space_id in ("PE", "X3"):
-        rules["zeta_p"] = _zeta_rule(gens, "zeta_p")
-        order = ["zeta_p", "z"]
-    if space_id != "B":
-        rules["z"] = {_mono(gens, c2=1): ParamPoly.const(-1)}
-        if not order:
-            order = ["z"]
+    zetas = _TOWER[space_id][0]
+    fiber = () if zetas is None else (*zetas, "z")
+    gens = tuple(Generator(name, 1) for name in fiber) + _BASE_GENS
+    order = () if zetas is None else (*reversed(zetas), "z")
+    rules = {name: _square_rule(gens, name) for name in order}
     return RingPresentation(gens, rules, truncation_degree=truncation,
-                            rewrite_order=order or None)
+                            rewrite_order=order)
 
 
 def _named_classes(space_id, ring):
-    classes = {}
-    if space_id == "B":
-        return classes
+    zetas = _TOWER[space_id][0]
+    if zetas is None:
+        return {}
     z = ring.gen("z")
     a1 = ring.gen("a1")
-    a2 = ring.gen("a2")
-    a2p = ring.gen("a2p")
     A = a1 + (G + 2) * z
-    classes["c1E"] = A
-    classes["c2E"] = a2 + a2p * z
-    classes["c1Omega_base"] = -2 * z
-    if space_id == "P":
-        return classes
-
-    def per_zeta(zeta):
-        return {
-            "c1W": 3 * zeta - A,
-            "c1Omega_vert": -2 * zeta + A,
-            "c1T_rel_B": 2 * zeta - a1 - G * z,
-            "c1Q": -A + zeta,
-        }
-
-    if space_id in ("PE", "X3"):
-        classes.update(per_zeta(ring.gen("zeta_p")))
-    else:
-        for suffix in ("p", "q"):
-            for name, value in per_zeta(ring.gen(f"zeta_{suffix}")).items():
-                classes[f"{name}_{suffix}"] = value
+    classes = {"c1E": A, "c2E": ring.gen("a2") + ring.gen("a2p") * z,
+               "c1Omega_base": -2 * z}
+    for name in zetas:
+        suffix = name[-2:] if len(zetas) > 1 else ""
+        zeta = ring.gen(name)
+        classes.update({
+            "c1W" + suffix: 3 * zeta - A,
+            "c1Omega_vert" + suffix: -2 * zeta + A,
+            "c1T_rel_B" + suffix: 2 * zeta - a1 - G * z,
+            "c1Q" + suffix: -A + zeta,
+        })
     return classes
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class SpaceContext:
-    """A space of the tower: presentation plus its named classes."""
+    """A space of the tower: presentation plus its named classes.
 
-    __slots__ = ("space_id", "ring", "named_classes", "g_value", "truncation")
+    Contexts hash and compare by identity, so they can key caches.
+    """
 
-    def __init__(self, space_id, ring, named_classes, g_value, truncation):
-        object.__setattr__(self, "space_id", space_id)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "named_classes", dict(named_classes))
-        object.__setattr__(self, "g_value", g_value)
-        object.__setattr__(self, "truncation", truncation)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SpaceContext is immutable")
+    space_id: str
+    ring: RingPresentation
+    named_classes: dict
+    g_value: Fraction | None
+    truncation: int
 
     def __repr__(self):
         g = "g" if self.g_value is None else str(self.g_value)
@@ -189,7 +169,7 @@ def build_space(space_id, g=None, truncation=None):
     stay, specialized ones only for the most recent genus, so a long sweep
     over g does not grow the cache.
     """
-    if space_id not in SPACE_IDS:
+    if space_id not in _TOWER:
         raise ValueError(f"unknown space id {space_id!r}; "
                          f"expected one of {', '.join(SPACE_IDS)}")
     if truncation is None:
@@ -239,57 +219,45 @@ def lift(element, target_ctx, rename=None):
     return _remap(element, element.ring, target_ctx.ring, rename or {})
 
 
-def _extract_linear(ctx, element, name, target_ctx, rename):
-    _, linear = element.split_linear(name)
-    return _remap(linear, ctx.ring, target_ctx.ring, rename)
-
-
 def pushforward(ctx, element, along, zeta="zeta_p"):
     """Pushforward along one of the tower maps.
 
     along="gamma": the P1-bundle step that introduced a zeta; on the
     two-point spaces the zeta argument picks which one is integrated out
-    (the surviving zeta is renamed zeta_p when it has to move to a
-    one-point space).  along="pi": the P -> B step, integrating out z.
+    (the surviving zeta_q is renamed zeta_p on the one-point space below).
+    along="pi": the P -> B step, integrating out z.
     along="gamma_then_pi": both steps of the PE/X3 tower.
     along="eta_p": reinterpret a zeta_q-free class on Xtilde3/X111 on the
     one-point space (not a fibration pushforward; degree is preserved).
     """
     if element.ring != ctx.ring:
         raise ValueError("element does not live on the given space")
-    sid = ctx.space_id
-    if along == "gamma":
-        if sid not in _GAMMA_TARGET:
-            raise ValueError(f"no gamma pushforward on {sid}")
-        if sid in ("PE", "X3"):
-            if zeta != "zeta_p":
-                raise ValueError(f"{sid} carries only zeta_p")
-            return _extract_linear(ctx, element, "zeta_p",
-                                   _sibling(ctx, _GAMMA_TARGET[sid]), {})
-        if zeta not in ("zeta_p", "zeta_q"):
-            raise ValueError(f"unknown tautological class {zeta!r}")
-        target = _sibling(ctx, _GAMMA_TARGET[sid])
-        rename = {"zeta_q": "zeta_p"} if zeta == "zeta_p" else {}
-        return _extract_linear(ctx, element, zeta, target, rename)
-    if along == "pi":
-        if sid != "P":
-            raise ValueError(f"pi pushes forward from P, not {sid}")
-        return _extract_linear(ctx, element, "z", _sibling(ctx, "B"), {})
+    zetas, below = _TOWER[ctx.space_id]
     if along == "gamma_then_pi":
-        if sid not in ("PE", "X3"):
-            raise ValueError(f"gamma_then_pi runs the PE tower, not {sid}")
         mid = pushforward(ctx, element, "gamma")
-        return pushforward(_sibling(ctx, "P"), mid, "pi")
+        return pushforward(_sibling(ctx, below), mid, "pi")
     if along == "eta_p":
-        if sid not in ("X111", "Xtilde3"):
-            raise ValueError(f"eta_p forgets zeta_q; {sid} has none")
+        if "zeta_q" not in (zetas or ()):
+            raise ValueError(f"eta_p forgets zeta_q; {ctx.space_id} has none")
         qi = ctx.ring.index_of("zeta_q")
         if any(exps[qi] for exps in element.terms):
             raise ValueError("class involves zeta_q; eta_p is only defined "
                              "for zeta_q-free classes")
-        target = _sibling(ctx, "X3" if sid == "Xtilde3" else "PE")
-        return _remap(element, ctx.ring, target.ring, {})
-    raise ValueError(f"unknown pushforward {along!r}")
+        return _remap(element, ctx.ring, _sibling(ctx, below).ring, {})
+    if along == "gamma":
+        if zeta not in (zetas or ()):
+            raise ValueError(f"no gamma pushforward of {zeta!r} on "
+                             f"{ctx.space_id}")
+        step = zeta
+    elif along == "pi":
+        if zetas != ():
+            raise ValueError(f"pi pushes forward from P, not {ctx.space_id}")
+        step = "z"
+    else:
+        raise ValueError(f"unknown pushforward {along!r}")
+    _, linear = element.split_linear(step)
+    rename = {"zeta_q": "zeta_p"} if step == "zeta_p" else {}
+    return _remap(linear, ctx.ring, _sibling(ctx, below).ring, rename)
 
 
 def diagonal(ctx, element):

@@ -99,11 +99,25 @@ class Verdict:
 
 
 class StageFailure(RuntimeError):
-    """An intermediate identity of a verification chain failed."""
+    """An intermediate identity of a verification chain failed.
 
-    def __init__(self, stage, detail):
+    computed and expected hold the canonical strings of the two classes;
+    lemma, when given, names the relation whose class failed.
+    """
+
+    def __init__(self, stage, computed, expected, lemma=None):
         self.stage = stage
-        super().__init__(f"stage {stage!r} failed: {detail}")
+        self.computed = computed
+        self.expected = expected
+        where = "" if lemma is None else f" at {lemma}"
+        super().__init__(f"stage {stage!r} failed{where}: computed "
+                         f"{computed}, expected {expected}")
+
+
+def _check(stage, computed, expected):
+    """Raise StageFailure unless a stage computed its expected class."""
+    if computed != expected:
+        raise StageFailure(stage, computed.canonical(), expected.canonical())
 
 
 #: lowest truncation degree the tt chain needs: its first stage is the
@@ -220,24 +234,20 @@ def tt_chain(g=None):
     c3_free = principal_parts_chern(w_free, om_free, 2).top_chern()
     want_free = -3 * zeta ** 3 + 4 * a_free * zeta ** 2 \
         - a_free * a_free * zeta
-    if c3_free != want_free:
-        raise StageFailure("c3-free", f"got {c3_free}")
+    _check("c3-free", c3_free, want_free)
 
     c3_reduced = c3_free.reduce()
     b_cls = ctx.cls("c2E")
     want_reduced = 3 * b_cls * ctx.gen("zeta_p") - ctx.cls("c1E") * b_cls
-    if c3_reduced != want_reduced:
-        raise StageFailure("c3-reduced", f"got {c3_reduced}")
+    _check("c3-reduced", c3_reduced, want_reduced)
 
     p_ctx = build_space("P", g=g)
     push_gamma = pushforward(ctx, c3_reduced, "gamma")
-    if push_gamma != 3 * p_ctx.cls("c2E"):
-        raise StageFailure("push-gamma", f"got {push_gamma}")
+    _check("push-gamma", push_gamma, 3 * p_ctx.cls("c2E"))
 
     b_ctx = build_space("B", g=g)
     push_pi = pushforward(p_ctx, push_gamma, "pi")
-    if push_pi != 3 * b_ctx.gen("a2p"):
-        raise StageFailure("push-pi", f"got {push_pi}")
+    _check("push-pi", push_pi, 3 * b_ctx.gen("a2p"))
 
     # excess class on the diagonal: ambient normal bundle is the second
     # principal parts of W on the q factor, restricted by zeta_q -> zeta_p
@@ -248,18 +258,14 @@ def tt_chain(g=None):
     t_vert = BundleClass.line(2 * ctx.gen("zeta_p") - ctx.cls("c1E"))
     t_base = BundleClass.line(2 * ctx.gen("z"))
     n_component = t_vert.whitney(t_base)
-    if n_component.c1 != ctx.cls("c1T_rel_B"):
-        raise StageFailure("alpha-Y", "relative tangent c1 mismatch")
+    _check("alpha-Y", n_component.c1, ctx.cls("c1T_rel_B"))
     alpha = excess_class(n_ambient, n_component)
     gp = ctx.const(G) if g is None else ctx.const(g)
     want_alpha = ctx.gen("zeta_p") + ctx.gen("a1") + gp * ctx.gen("z")
-    if alpha != want_alpha:
-        raise StageFailure("alpha-Y", f"got {alpha}")
+    _check("alpha-Y", alpha, want_alpha)
 
     tt_class = lift(push_pi, ctx) - alpha
-    want_tt = _expected_elem(LemmaId.REL_3_TT, g)
-    if tt_class != want_tt:
-        raise StageFailure("tt-class", f"got {tt_class}")
+    _check("tt-class", tt_class, _expected_elem(LemmaId.REL_3_TT, g))
 
     return ChainReport(c3_free=c3_free, c3_reduced=c3_reduced,
                        push_gamma=push_gamma, push_pi=push_pi,
@@ -323,7 +329,8 @@ def relation_matrix(mu, g=None):
         verdict = verify_relation(lemma, g=g)
         if not verdict.passed:
             raise StageFailure("relation-matrix",
-                               f"{lemma.value} failed verification")
+                               verdict.computed.canonical(),
+                               verdict.expected.canonical(), lemma.value)
         rows.append(_linear_row(verdict.computed, basis))
     return basis, rows, tuple(lemma.value for lemma in lemmas)
 

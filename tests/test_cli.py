@@ -233,6 +233,8 @@ class TestDetCommand:
         assert code == 1
         assert out == ""
         assert "aborted at stage 'tt-class'" in err
+        assert "computed -zeta_p - g*z - a1 + 3*a2p" in err
+        assert "expected zeta_p" in err
 
     def test_singular_system_exits_1(self, capsys, monkeypatch, schema):
         import chowkit.verify as verify_mod

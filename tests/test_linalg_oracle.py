@@ -1,5 +1,5 @@
-"""Exact linear algebra and jet ranks against sympy, an independent
-reference.
+"""Exact linear algebra, jet ranks, integer roots and normal forms against
+sympy, an independent reference.
 
 sympy is not a dependency of chowkit, so this module is skipped when it
 is absent.  Ranks on the sympy side are taken over the fraction field of
@@ -19,6 +19,7 @@ from chowkit.bundles import JetPoint, jet_rank, splitting_sym3  # noqa: E402
 from chowkit.linalg import (bareiss_det, param_rank,  # noqa: E402
                             rank_at_samples, rank_fraction)
 from chowkit.ring import ParamPoly  # noqa: E402
+from chowkit.spaces import build_space  # noqa: E402
 
 F = Fraction
 GS = sympy.Symbol("g")
@@ -155,3 +156,54 @@ def test_jet_rank_is_the_rank_over_q_of_y(name):
             assert (nrows, ncols) == (len(want), len(want[0]))
             matrix = DomainMatrix.from_Matrix(sympy.Matrix(want))
             assert rank == matrix.to_field().rank(), (m, n)
+
+
+def _to_sympy_element(terms, syms):
+    return sum((to_sympy(c) * sympy.Mul(*(s ** e for s, e in zip(syms, exps)))
+                for exps, c in terms.items()), sympy.Integer(0))
+
+
+@pytest.mark.parametrize("sid, truncation", [("PE", 6), ("X111", 5)])
+def test_normal_form_matches_groebner_reduction(sid, truncation):
+    """_normalize against sympy's reduction by the square rules, in lex
+    order on the generators in ring order, then truncated by degree.  The
+    leading monomials zeta_p**2, zeta_q**2 and z**2 are pairwise coprime,
+    so the rules are a Groebner basis and both normal forms are unique."""
+    ring = build_space(sid, truncation=truncation).ring
+    syms = sympy.symbols([gq.name for gq in ring.generators])
+    rules = [syms[ring.index_of(name)] ** 2 - _to_sympy_element(rhs, syms)
+             for name, rhs in ring.square_rules.items()]
+    domain = sympy.QQ[GS]
+    rng = random.Random(sum(map(ord, sid)))
+    for _ in range(40):
+        raw = {}
+        for _ in range(rng.randint(1, 5)):
+            exps = tuple(rng.choice((0, 0, 0, 0, 1, 1, 2, 3)) for _ in syms)
+            if ring.monomial_degree(exps) <= truncation + 1:
+                raw[exps] = random_poly(rng)
+        ours = ring.element(raw)
+        _, rem = sympy.reduced(_to_sympy_element(raw, syms), rules, *syms,
+                               order="lex", domain=domain)
+        want = {exps: domain.from_sympy(c) for exps, c in
+                sympy.Poly(rem, *syms, domain=domain).terms()
+                if c and ring.monomial_degree(exps) <= truncation}
+        got = {exps: domain.from_sympy(to_sympy(c))
+               for exps, c in ours.terms.items()}
+        assert got == want
+
+
+def test_nonneg_integer_roots_match_sympy_real_roots():
+    rng = random.Random(11)
+    for _ in range(150):
+        p = ParamPoly.const(rng.randint(1, 3))
+        for _ in range(rng.randint(1, 4)):
+            p = p * rng.choice((
+                ParamPoly([F(rng.randint(-40, 40)), F(rng.choice((1, 2, 3)))]),
+                ParamPoly([F(rng.randint(-9, 9)), F(rng.randint(-4, 4)),
+                           F(1)]),
+                ParamPoly([F(-rng.randint(0, 10 ** 15)), F(1)])))
+        if p.is_zero():
+            continue
+        want = sorted({int(r) for r in sympy.real_roots(to_sympy(p), GS)
+                       if r.is_integer and r >= 0})
+        assert p.nonneg_integer_roots() == want, p

@@ -1,7 +1,10 @@
 """Unit tests for the graded ring core: coefficients, presentations,
 normalization, and the canonical string format."""
 
+import random
+import time
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 
@@ -10,6 +13,24 @@ from chowkit.ring import ChowElement, G, Generator, ParamPoly, RingPresentation
 
 def poly(*coeffs):
     return ParamPoly(tuple(Fraction(c) for c in coeffs))
+
+
+def _divisor_roots(p):
+    """Reference for ParamPoly.nonneg_integer_roots, by the rational root
+    theorem: with denominators cleared and g**k factored out, a positive
+    integer root divides the constant term and lies within the Cauchy
+    bound.  Trial division up to the square root of the constant term
+    keeps it to small constants."""
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * scale) for c in p.coeffs]
+    q = ints[next(i for i, c in enumerate(ints) if c):]
+    bound = 1 + max(map(abs, q[:-1]), default=0) // abs(q[-1])
+    const = abs(q[0])
+    candidates = {0}
+    for d in range(1, min(isqrt(const), bound) + 1):
+        if const % d == 0:
+            candidates.update((d, const // d))
+    return sorted(r for r in candidates if r <= bound and p(r) == 0)
 
 
 class TestParamPoly:
@@ -65,6 +86,34 @@ class TestParamPoly:
         assert p.nonneg_integer_roots() == []
         big = poly(-(10 ** 12 + 39), 1) * poly(-3, 1) * poly(0, 0, 1)
         assert big.nonneg_integer_roots() == [0, 3, 10 ** 12 + 39]
+
+    def test_nonneg_integer_roots_of_huge_constants(self):
+        """Sturm isolation does not grow with the constant term: trial
+        division up to its square root would run for years here."""
+        far = 10 ** 40 + 3
+        cases = [((G - far) * (G + 1), [far]),
+                 (G ** 2 + 10 ** 40, []),
+                 (G ** 2 * (G - 15) * (G + 3), [0, 15])]
+        for p, want in cases:
+            start = time.perf_counter()
+            assert p.nonneg_integer_roots() == want
+            assert time.perf_counter() - start < 0.1
+
+    def test_nonneg_integer_roots_match_divisor_reference(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            factors = [poly(rng.randint(-12, 12), rng.choice((1, 1, 2, 3)))
+                       for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.3:  # an irreducible quadratic
+                factors.append(poly(rng.randint(1, 9), 0, 1))
+            if rng.random() < 0.3:  # a repeated root
+                factors.append(factors[0])
+            p = rng.randint(1, 5) * ParamPoly.const(1)
+            for f in factors:
+                p = p * f
+            if p.is_zero():
+                continue
+            assert p.nonneg_integer_roots() == _divisor_roots(p), p
 
     def test_nonvanishing_for_nonneg_g(self):
         assert poly(2, 2).nonvanishing_for_nonneg_g()

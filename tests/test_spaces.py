@@ -31,6 +31,13 @@ def test_generator_orders(spaces):
     assert orders["X3"] == orders["PE"]
     assert orders["X111"] == ["zeta_p", "zeta_q", "z", "a1", "a2", "a2p", "c2"]
     assert orders["Xtilde3"] == orders["X111"]
+    # the normal form does not depend on the rewrite order, but the work
+    # of reaching it does
+    rewrite = {sid: spaces[sid].ring.rewrite_order for sid in SPACE_IDS}
+    assert rewrite == {"B": (), "P": ("z",), "PE": ("zeta_p", "z"),
+                       "X3": ("zeta_p", "z"),
+                       "X111": ("zeta_q", "zeta_p", "z"),
+                       "Xtilde3": ("zeta_q", "zeta_p", "z")}
 
 
 def test_build_space_caches():
@@ -71,9 +78,18 @@ def test_named_classes_one_point(spaces):
     assert pe.cls("c1Omega_vert").canonical() == "-2*zeta_p + (g+2)*z + a1"
     assert pe.cls("c1T_rel_B").canonical() == "2*zeta_p - g*z - a1"
     assert pe.cls("c1Q").canonical() == "zeta_p - (g+2)*z - a1"
-    # X3 carries the same named classes
-    for name in ("c1W", "c1Omega_vert", "c1T_rel_B", "c1Q"):
-        assert spaces["X3"].cls(name).canonical() == pe.cls(name).canonical()
+    # the twins PE/X3 and X111/Xtilde3 share one presentation and carry
+    # the same named classes, symbolic and specialized
+    for one, twin in (("PE", "X3"), ("X111", "Xtilde3")):
+        for g in (None, 0, 3):
+            a = build_space(one, g=g, truncation=TRUNC)
+            b = build_space(twin, g=g, truncation=TRUNC)
+            assert a.ring == b.ring
+            assert a.ring.rewrite_order == b.ring.rewrite_order
+            assert list(a.named_classes) == list(b.named_classes)
+            for name, value in a.named_classes.items():
+                assert b.cls(name) == value
+                assert b.cls(name).canonical() == value.canonical()
 
 
 def test_named_classes_two_point(spaces):
@@ -167,6 +183,56 @@ def test_pushforward_eta_p(spaces):
     assert pushforward(x111, elem, "eta_p") == pe.parse("zeta_p + 2*z")
     with pytest.raises(ValueError):
         pushforward(x111, x111.gen("zeta_q"), "eta_p")
+
+
+#: (space, map, zeta) -> (space of the result, canonical text) of every
+#: pushforward of _weighted_square that succeeds; all others raise
+#: ValueError.
+_PUSHFORWARDS = {
+    ("P", "pi", "zeta_p"): ("B", "16*a2 + 24*c2 + 12*a1 + 20*a2p + 4"),
+    ("P", "pi", "zeta_q"): ("B", "16*a2 + 24*c2 + 12*a1 + 20*a2p + 4"),
+    ("PE", "gamma", "zeta_p"):
+        ("P", "20*a2 + 28*c2 + (4*g+20)*z + 20*a1 + 24*a2p + 4"),
+    ("PE", "gamma_then_pi", "zeta_p"): ("B", "(4*g+20)"),
+    ("PE", "gamma_then_pi", "zeta_q"): ("B", "(4*g+20)"),
+    ("X111", "gamma", "zeta_p"):
+        ("PE", "24*a2 + 32*c2 + 12*zeta_p + (4*g+24)*z + 24*a1 + 28*a2p + 4"),
+    ("X111", "gamma", "zeta_q"):
+        ("PE", "36*a2 + 48*c2 + 12*zeta_p + (9*g+42)*z + 39*a1 + 42*a2p + 6"),
+    ("X3", "gamma", "zeta_p"):
+        ("P", "20*a2 + 28*c2 + (4*g+20)*z + 20*a1 + 24*a2p + 4"),
+    ("X3", "gamma_then_pi", "zeta_p"): ("B", "(4*g+20)"),
+    ("X3", "gamma_then_pi", "zeta_q"): ("B", "(4*g+20)"),
+    ("Xtilde3", "gamma", "zeta_p"):
+        ("X3", "24*a2 + 32*c2 + 12*zeta_p + (4*g+24)*z + 24*a1 + 28*a2p + 4"),
+    ("Xtilde3", "gamma", "zeta_q"):
+        ("X3", "36*a2 + 48*c2 + 12*zeta_p + (9*g+42)*z + 39*a1 + 42*a2p + 6"),
+}
+
+
+def _weighted_square(ctx):
+    """(1 + 2*x0 + 3*x1 + ...)**2 over the generators x0, x1, ... of the
+    space: every generator, zeta_q included, with its own coefficient."""
+    x = ctx.one()
+    for i, gq in enumerate(ctx.ring.generators):
+        x = x + (i + 2) * ctx.gen(gq.name)
+    return x * x
+
+
+@pytest.mark.parametrize("sid", SPACE_IDS)
+def test_pushforward_table(spaces, sid):
+    ctx = spaces[sid]
+    elem = _weighted_square(ctx)
+    for along in ("gamma", "pi", "gamma_then_pi", "eta_p", "sideways"):
+        for zeta in ("zeta_p", "zeta_q"):
+            want = _PUSHFORWARDS.get((sid, along, zeta))
+            if want is None:
+                with pytest.raises(ValueError):
+                    pushforward(ctx, elem, along, zeta=zeta)
+                continue
+            got = pushforward(ctx, elem, along, zeta=zeta)
+            assert got.ring is spaces[want[0]].ring, (along, zeta)
+            assert got.canonical() == want[1], (along, zeta)
 
 
 def test_unknown_map(spaces):

@@ -56,6 +56,9 @@ class TestRelations:
     def test_sampled(self, g):
         for lemma, verdict in verify_all(g=g).items():
             assert verdict.passed, lemma
+            # specialization oracle: computing at g is evaluating at g
+            symbolic = verify_relation(lemma).computed
+            assert verdict.computed == symbolic.evaluate(g), lemma
 
     @pytest.mark.parametrize("g", [None, 3])
     @pytest.mark.parametrize("lemma", DERIVED, ids=[l.value for l in DERIVED])
@@ -115,10 +118,17 @@ class TestChain:
             "tt-class": "-zeta_p - g*z - a1 + 3*a2p",
         }
 
-    @pytest.mark.parametrize("g", [0, 2, 5])
+    @pytest.mark.parametrize("g", [0, 1, 2, 5, 7])
     def test_sampled_chain(self, g):
         chain = tt_chain(g=g)
         assert chain.push_pi.canonical() == "3*a2p"
+        # specialization oracle: every stage computed at g is the symbolic
+        # stage evaluated at g (at g = 0 the g*z terms vanish)
+        for (name, got), (_, symbolic) in zip(chain.stages(),
+                                              tt_chain().stages()):
+            want = symbolic.evaluate(g)
+            assert got == want, name
+            assert got.canonical() == want.canonical(), name
 
     @pytest.mark.parametrize("truncation", ["1", "2"])
     def test_needs_truncation_3(self, monkeypatch, truncation):
@@ -134,9 +144,24 @@ class TestChain:
         assert tt_chain().tt_class.canonical() == EXPECTED_STRINGS["REL-3-TT"]
 
     def test_stage_failure_type(self):
-        err = StageFailure("c3-free", "mismatch")
+        err = StageFailure("c3-free", "3*zeta_p", "zeta_p")
         assert err.stage == "c3-free"
+        assert (err.computed, err.expected) == ("3*zeta_p", "zeta_p")
         assert "c3-free" in str(err)
+        assert "computed 3*zeta_p, expected zeta_p" in str(err)
+
+    def test_relation_matrix_failure_names_both_classes(self, monkeypatch):
+        import chowkit.verify as verify_mod
+        broken = dict(verify_mod.EXPECTED)
+        broken[LemmaId.REL_21_NODE] = "zeta_p"
+        monkeypatch.setattr(verify_mod, "EXPECTED", broken)
+        with pytest.raises(StageFailure) as info:
+            relation_matrix((2, 1))
+        err = info.value
+        assert err.stage == "relation-matrix"
+        assert err.computed == EXPECTED_STRINGS["REL-21-NODE"]
+        assert err.expected == "zeta_p"
+        assert "REL-21-NODE" in str(err)
 
 
 class TestLinalg:
