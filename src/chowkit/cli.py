@@ -8,7 +8,10 @@ Exit codes: 0 all requested checks passed, 1 a verification failed,
 2 usage errors, unknown ids, malformed specs, or guard violations.
 JSON reports use kebab-case keys, canonical class strings, and a fixed
 field order, so serialization is byte-stable for fixed inputs; the
-structure is frozen in report-schema.json next to this module.
+structure is frozen in report-schema.json next to this module.  The
+report writer reproduces json.dumps(indent=2, ensure_ascii=False) byte
+for byte and accepts only dict (with str keys), list, str, int, bool and
+None; anything else, floats included, raises TypeError.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from . import __version__
 from .bundles import JetPoint, in_locus_B, jet_rank
@@ -39,6 +43,40 @@ _REPORT_FIELDS = (
 )
 
 
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(o, pad=""):
+    """json.dumps(o, indent=2, ensure_ascii=False), with pad the indent.
+
+    Each container's text is one join over its children; with indent set,
+    the stdlib falls back to its pure-Python encoder, which yields and
+    joins every chunk separately.  Dispatch is on the exact type, so a
+    bool never prints as an int and a float or tuple raises TypeError.
+    """
+    t = type(o)
+    if t is str:
+        return encode_basestring(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        return ("{\n" + inner + (",\n" + inner).join(
+            [encode_basestring(key) + ": " + _json_text(value, inner)
+             for key, value in o.items()]) + "\n" + pad + "}")
+    if t is list:
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return ("[\n" + inner + (",\n" + inner).join(
+            [_json_text(value, inner) for value in o]) + "\n" + pad + "]")
+    if t is bool or o is None:
+        return _JSON_CONSTANTS[o]
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 @dataclass
 class Report:
     tool_version: str
@@ -52,7 +90,7 @@ class Report:
 
     def to_json(self):
         payload = {key: getattr(self, attr) for key, attr in _REPORT_FIELDS}
-        return json.dumps(payload, indent=2, ensure_ascii=False)
+        return _json_text(payload)
 
     @classmethod
     def from_json(cls, text):
@@ -80,23 +118,25 @@ def _chain_payload(chain):
     return {stage: value.canonical() for stage, value in chain.stages()}
 
 
-def _factor_payload(factor):
+def _factor_payload(factor, display):
     return {
         "degrees": list(factor.degrees),
         "genera": list(factor.genera),
         "profiles": [list(p) for p in factor.profiles],
-        "display": format_factor(factor),
+        "display": display,
     }
 
 
 def _stratum_payload(stratum):
+    side1 = format_factor(stratum.side1)
+    side2 = format_factor(stratum.side2)
     return {
         "j": stratum.j,
         "node-profile": list(stratum.node_profile),
-        "side1": _factor_payload(stratum.side1),
-        "side2": _factor_payload(stratum.side2),
+        "side1": _factor_payload(stratum.side1, side1),
+        "side2": _factor_payload(stratum.side2, side2),
         "quotient": stratum.quotient_group,
-        "display": format_stratum(stratum),
+        "display": format_stratum(stratum, side1, side2),
     }
 
 

@@ -226,7 +226,8 @@ def pushforward(ctx, element, along, zeta="zeta_p"):
     two-point spaces the zeta argument picks which one is integrated out
     (the surviving zeta_q is renamed zeta_p on the one-point space below).
     along="pi": the P -> B step, integrating out z.
-    along="gamma_then_pi": both steps of the PE/X3 tower.
+    along="gamma_then_pi": both steps of the PE/X3 tower; zeta must be
+    zeta_p, the one zeta those spaces have.
     along="eta_p": reinterpret a zeta_q-free class on Xtilde3/X111 on the
     one-point space (not a fibration pushforward; degree is preserved).
     """
@@ -234,7 +235,10 @@ def pushforward(ctx, element, along, zeta="zeta_p"):
         raise ValueError("element does not live on the given space")
     zetas, below = _TOWER[ctx.space_id]
     if along == "gamma_then_pi":
-        mid = pushforward(ctx, element, "gamma")
+        if below != "P":
+            raise ValueError(f"gamma_then_pi pushes forward from PE or X3, "
+                             f"not {ctx.space_id}")
+        mid = pushforward(ctx, element, "gamma", zeta=zeta)
         return pushforward(_sibling(ctx, below), mid, "pi")
     if along == "eta_p":
         if "zeta_q" not in (zetas or ()):

@@ -62,6 +62,7 @@ class FactorSpace:
                              f"got {self.degrees}")
         if not (len(self.degrees) == len(self.genera) == len(self.profiles)):
             raise ValueError("degrees, genera, profiles must align")
+        needs = []
         for k, gi, prof in zip(self.degrees, self.genera, self.profiles):
             if gi < 0:
                 raise ValueError("negative genus")
@@ -71,15 +72,19 @@ class FactorSpace:
                                  f"partition of {k}")
             if k == 1 and gi != 0:
                 raise ValueError("a degree-1 component must have genus 0")
+            # Riemann-Hurwitz, 2*gi - 2 = -2*k + needs + contribution,
+            # where the node contributes sum(p - 1) = k - len(prof)
+            needs.append(2 * gi - 2 + k + len(prof))
+        # derived once; plain attributes, not fields, so eq, hash and
+        # sort_key still see only the three fields
+        merged = [p for prof in self.profiles for p in prof]
+        object.__setattr__(self, "node_profile",
+                           tuple(sorted(merged, reverse=True)))
+        object.__setattr__(self, "_branch_needs", tuple(needs))
 
     @property
     def connected(self):
         return len(self.degrees) == 1
-
-    @property
-    def node_profile(self):
-        merged = [p for prof in self.profiles for p in prof]
-        return tuple(sorted(merged, reverse=True))
 
     @property
     def arithmetic_genus(self):
@@ -87,10 +92,7 @@ class FactorSpace:
 
     def branch_needs(self):
         """Per-component simple branch counts forced by Riemann-Hurwitz."""
-        needs = []
-        for k, gi, prof in zip(self.degrees, self.genera, self.profiles):
-            needs.append(2 * gi - 2 + 2 * k - sum(p - 1 for p in prof))
-        return tuple(needs)
+        return self._branch_needs
 
     def sort_key(self):
         return (len(self.degrees), self.degrees, self.genera, self.profiles)
@@ -201,8 +203,9 @@ def _strata_for_split(g, j, mirror):
     for profile in _NODE_PROFILES:
         if (j + _contribution(profile)) % 2:
             continue
+        side2_configs = _side_configs(profile, b - j)
         for s1 in _side_configs(profile, j):
-            for s2 in _side_configs(profile, b - j):
+            for s2 in side2_configs:
                 if mirror and s1.sort_key() > s2.sort_key():
                     continue
                 if not _glues_connected(profile, s1, s2):
@@ -354,8 +357,13 @@ def format_factor(factor):
     return f"H({degrees};{genera};{profiles})"
 
 
-def format_stratum(stratum):
+def format_stratum(stratum, side1=None, side2=None):
+    """One-line display; side1 and side2, when given, are the sides'
+    format_factor strings, already computed by the caller."""
+    if side1 is None:
+        side1 = format_factor(stratum.side1)
+    if side2 is None:
+        side2 = format_factor(stratum.side2)
     profile = ",".join(str(p) for p in stratum.node_profile)
-    return (f"D{stratum.j} ({profile}): {format_factor(stratum.side1)}"
-            f" x {format_factor(stratum.side2)}"
+    return (f"D{stratum.j} ({profile}): {side1} x {side2}"
             f" [{stratum.quotient_group}]")

@@ -9,9 +9,12 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import chowkit
-from chowkit.cli import Report, main, parse_g_spec
+from chowkit.cli import (_REPORT_FIELDS, Report, _empty_report, _json_text,
+                         _stratum_payload, main, parse_g_spec)
+from chowkit.strata import enumerate_codim1
 
 
 def run(capsys, *argv):
@@ -201,6 +204,43 @@ class TestStrataCommand:
         assert block["oracle-agrees"] is None
         assert block["strata"][0]["display"] == \
             "D2 (3): H(3;0;(3)) x H(3;0;(3)) [Z2]"
+
+
+_JSON_TEXT = st.text(alphabet=st.characters(codec="utf-8"), max_size=8) \
+    | st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\n\t\r\b\f",
+                       "\u2028\u2029", "ζ_p", "\U0001d49e"])
+_JSON_LEAVES = (st.none() | st.booleans() | _JSON_TEXT
+                | st.integers() | st.sampled_from([0, -1, 10**40, -10**40]))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+class TestJsonWriter:
+    """The report writer is json.dumps(indent=2, ensure_ascii=False)."""
+
+    @given(_JSON_VALUES)
+    def test_matches_stdlib(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2,
+                                               ensure_ascii=False)
+
+    def test_large_strata_report_matches_stdlib(self):
+        report = _empty_report(mode="sampled", g_values=[2000])
+        report.strata = {"strata": [_stratum_payload(s)
+                                    for s in enumerate_codim1(2000)]}
+        payload = {key: getattr(report, attr)
+                   for key, attr in _REPORT_FIELDS}
+        text = report.to_json()
+        assert text == json.dumps(payload, indent=2, ensure_ascii=False)
+        assert Report.from_json(text).to_json() == text
+
+    @pytest.mark.parametrize("bad", [1.5, (1, 2), {"a": [0.0]}, {1: 2},
+                                     {"a": {1, 2}}])
+    def test_rejects_other_types(self, bad):
+        with pytest.raises(TypeError):
+            _json_text(bad)
 
 
 class TestDetCommand:

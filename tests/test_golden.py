@@ -2,8 +2,10 @@
 byte for byte, with the saved exit code.
 
 The files under tests/golden/ were written by ``python tests/test_golden.py
---write`` with CHOWKIT_TRUNCATION unset.  Regenerate them only for an
-intended change of output, never to make a refactor pass.
+--write`` with CHOWKIT_TRUNCATION unset.  ``--write`` writes only the files
+that are missing, so adding a case never rewrites a frozen report;
+``--write --force`` rewrites them all.  Force it only for an intended
+change of output, never to make a refactor pass.
 """
 
 import contextlib
@@ -39,6 +41,9 @@ CASES = {
     "verify-0..4.json": (("verify", "--g", "0..4", "--format", "json"), 0),
     "det.json": (("det", "--format", "json"), 0),
     "strata-8.json": (("strata", "--g", "8", "--format", "json"), 0),
+    "strata-30-oracle.json": (("strata", "--g", "30", "--oracle",
+                               "--format", "json"), 0),
+    "strata-8.txt": (("strata", "--g", "8"), 0),
     "verify-symbolic.txt": (("verify", "--g", "symbolic"), 0),
     "det.txt": (("det",), 0),
     "jet-0..12.txt": (tuple(_jet_runs()), 0),
@@ -63,10 +68,15 @@ def test_golden_report(name, monkeypatch):
     assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+if __name__ == "__main__" and sys.argv[1:2] == ["--write"]:
+    if sys.argv[2:] not in ([], ["--force"]):
+        raise SystemExit("usage: test_golden.py --write [--force]")
+    force = sys.argv[2:] == ["--force"]
     os.environ.pop("CHOWKIT_TRUNCATION", None)
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, (argv, want_code) in CASES.items():
+        if (GOLDEN_DIR / name).exists() and not force:
+            continue
         codes, out = _run(argv)
         if codes != {want_code}:
             raise SystemExit(f"{name}: exit {codes}, expected {want_code}")

@@ -164,6 +164,13 @@ def test_pushforward_gamma_then_pi(spaces):
     elem = pe.parse("3*a2p*z*zeta_p + a2*zeta_p")
     assert pushforward(pe, elem, "gamma_then_pi") == \
         spaces["B"].parse("3*a2p")
+    # the zeta argument reaches the gamma step, which has no zeta_q here
+    with pytest.raises(ValueError, match="zeta_q"):
+        pushforward(pe, elem, "gamma_then_pi", zeta="zeta_q")
+    # a two-zeta space is refused by name, not by the space below it
+    for sid in ("X111", "Xtilde3"):
+        with pytest.raises(ValueError, match=f"not {sid}$"):
+            pushforward(spaces[sid], spaces[sid].one(), "gamma_then_pi")
 
 
 def test_pushforward_two_point(spaces):
@@ -194,7 +201,6 @@ _PUSHFORWARDS = {
     ("PE", "gamma", "zeta_p"):
         ("P", "20*a2 + 28*c2 + (4*g+20)*z + 20*a1 + 24*a2p + 4"),
     ("PE", "gamma_then_pi", "zeta_p"): ("B", "(4*g+20)"),
-    ("PE", "gamma_then_pi", "zeta_q"): ("B", "(4*g+20)"),
     ("X111", "gamma", "zeta_p"):
         ("PE", "24*a2 + 32*c2 + 12*zeta_p + (4*g+24)*z + 24*a1 + 28*a2p + 4"),
     ("X111", "gamma", "zeta_q"):
@@ -202,7 +208,6 @@ _PUSHFORWARDS = {
     ("X3", "gamma", "zeta_p"):
         ("P", "20*a2 + 28*c2 + (4*g+20)*z + 20*a1 + 24*a2p + 4"),
     ("X3", "gamma_then_pi", "zeta_p"): ("B", "(4*g+20)"),
-    ("X3", "gamma_then_pi", "zeta_q"): ("B", "(4*g+20)"),
     ("Xtilde3", "gamma", "zeta_p"):
         ("X3", "24*a2 + 32*c2 + 12*zeta_p + (4*g+24)*z + 24*a1 + 28*a2p + 4"),
     ("Xtilde3", "gamma", "zeta_q"):

@@ -2,6 +2,8 @@
 golden lists at small genus, quotient groups, and the brute-force
 cross-check."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -210,13 +212,35 @@ class TestEnumeration:
 
 
 class TestOracle:
-    @pytest.mark.parametrize("g", range(0, 9))
+    @pytest.mark.parametrize("g", range(0, 31))
     def test_agrees(self, g):
         assert oracle_enumerate(g) == enumerate_codim1(g)
 
     def test_guard(self):
         with pytest.raises(ValueError):
             oracle_enumerate(31)
+
+
+class TestFactorIdentity:
+    """Derived data rides on a FactorSpace outside its fields, so equality,
+    hashing and the canonical order still see only the three fields."""
+
+    def test_equal_and_hash_equal(self):
+        a = H([2, 1], [3, 0], [(2,), (1,)])
+        b = H([2, 1], [3, 0], [(2,), (1,)])
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a.sort_key() == b.sort_key()
+        assert a != H([2, 1], [4, 0], [(2,), (1,)])
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(FactorSpace)] == \
+            ["degrees", "genera", "profiles"]
+
+    def test_replace_rederives(self):
+        f = dataclasses.replace(H([3], [2], [(2, 1)]), genera=(5,))
+        assert f.branch_needs() == (13,)
+        assert f.node_profile == (2, 1)
 
 
 class TestFamilies:
