@@ -29,7 +29,7 @@ from .spaces import _truncation_from_env
 from .strata import (enumerate_codim1, format_factor, format_stratum,
                      oracle_enumerate)
 from .verify import (LemmaId, StageFailure, TruncationTooLow,
-                     triviality_check, tt_chain, verify_relation)
+                     triviality_check, verify_relation)
 
 _REPORT_FIELDS = (
     ("tool-version", "tool_version"),
@@ -173,55 +173,51 @@ def parse_g_spec(text):
     return out
 
 
-def _emit(report, fmt, out):
+def _emit(report, fmt):
     if fmt == "json":
-        print(report.to_json(), file=out)
+        print(report.to_json())
         return
     for v in report.verdicts:
         g = "symbolic" if v["g"] is None else v["g"]
         mark = "pass" if v["pass"] else "FAIL"
-        print(f"{v['lemma']:<20} g={g:<9} {mark}  {v['computed']}", file=out)
+        print(f"{v['lemma']:<20} g={g:<9} {mark}  {v['computed']}")
     if report.chain is not None:
         for stage, value in report.chain.items():
-            print(f"chain {stage:<12} {value}", file=out)
+            print(f"chain {stage:<12} {value}")
     if report.strata is not None:
         for s in report.strata["strata"]:
-            print(s["display"], file=out)
-        print(f"total: {report.strata['count']}", file=out)
+            print(s["display"])
+        print(f"total: {report.strata['count']}")
         if report.strata.get("oracle-checked"):
             agree = report.strata["oracle-agrees"]
-            print("oracle: " + ("agrees" if agree else "MISMATCH"), file=out)
+            print("oracle: " + ("agrees" if agree else "MISMATCH"))
     if report.determinant is not None:
         d = report.determinant
         basis = ", ".join(d["basis"])
-        print(f"determinant in basis ({basis}): {d['poly']}", file=out)
+        print(f"determinant in basis ({basis}): {d['poly']}")
         if d["nonneg-integer-roots"]:
-            print(f"roots at integers g >= 0: {d['nonneg-integer-roots']}",
-                  file=out)
+            print(f"roots at integers g >= 0: {d['nonneg-integer-roots']}")
         else:
-            print("no roots at integers g >= 0", file=out)
-        print(f"certified rank: {d['rank']}", file=out)
-    print("overall: " + ("PASS" if report.overall_pass else "FAIL"),
-          file=out)
+            print("no roots at integers g >= 0")
+        print(f"certified rank: {d['rank']}")
+    print("overall: " + ("PASS" if report.overall_pass else "FAIL"))
 
 
-def _truncation_ok(err):
-    """False, with the reason on err, when CHOWKIT_TRUNCATION is unusable."""
+def _truncation_ok():
+    """False, with the reason on stderr, when CHOWKIT_TRUNCATION is bad."""
     try:
         _truncation_from_env()
     except ValueError as exc:
-        print(str(exc), file=err)
+        print(str(exc), file=sys.stderr)
         return False
     return True
 
 
-def cmd_verify(args, out=None, err=None):
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_verify(args):
     try:
         g_values = parse_g_spec(args.g)
     except ValueError as exc:
-        print(f"bad --g value: {exc}", file=err)
+        print(f"bad --g value: {exc}", file=sys.stderr)
         return 2
     if args.lemma == "all":
         lemmas = list(LemmaId)
@@ -229,40 +225,30 @@ def cmd_verify(args, out=None, err=None):
         try:
             lemmas = [LemmaId.from_string(args.lemma)]
         except ValueError as exc:
-            print(str(exc), file=err)
+            print(str(exc), file=sys.stderr)
             return 2
-    if not _truncation_ok(err):
+    if not _truncation_ok():
         return 2
 
     mode = "symbolic" if g_values is None else "sampled"
     report = _empty_report(mode=mode,
                            g_values=[] if g_values is None else g_values)
     sweep = [None] if g_values is None else g_values
-    try:
-        for g in sweep:
-            for lemma in lemmas:
-                verdict = verify_relation(lemma, g=g)
-                report.verdicts.append(_verdict_payload(verdict, g))
-                if not verdict.passed:
-                    report.overall_pass = False
-        if g_values is None and LemmaId.REL_3_TT in lemmas:
-            report.chain = _chain_payload(tt_chain())
-    except TruncationTooLow as exc:
-        print(str(exc), file=err)
-        return 2
-    except StageFailure as exc:
-        print(f"verification aborted at stage {exc.stage!r}: {exc}",
-              file=err)
-        return 1
-    _emit(report, args.fmt, out)
+    for g in sweep:
+        for lemma in lemmas:
+            verdict = verify_relation(lemma, g=g)
+            report.verdicts.append(_verdict_payload(verdict, g))
+            if not verdict.passed:
+                report.overall_pass = False
+            if g is None and verdict.chain is not None:
+                report.chain = _chain_payload(verdict.chain)
+    _emit(report, args.fmt)
     return 0 if report.overall_pass else 1
 
 
-def cmd_strata(args, out=None, err=None):
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_strata(args):
     if args.g < 0:
-        print("genus must be nonnegative", file=err)
+        print("genus must be nonnegative", file=sys.stderr)
         return 2
     strata = enumerate_codim1(args.g)
     payload = {
@@ -278,31 +264,22 @@ def cmd_strata(args, out=None, err=None):
         try:
             reference = oracle_enumerate(args.g)
         except ValueError as exc:
-            print(str(exc), file=err)
+            print(str(exc), file=sys.stderr)
             return 2
         agree = reference == strata
         payload["oracle-agrees"] = agree
         if not agree:
             report.overall_pass = False
             print(f"oracle mismatch: {len(strata)} enumerated vs "
-                  f"{len(reference)} brute-forced", file=err)
-    _emit(report, args.fmt, out)
+                  f"{len(reference)} brute-forced", file=sys.stderr)
+    _emit(report, args.fmt)
     return 0 if report.overall_pass else 1
 
 
-def cmd_det(args, out=None, err=None):
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
-    if not _truncation_ok(err):
+def cmd_det(args):
+    if not _truncation_ok():
         return 2
-    try:
-        cert = triviality_check((3,))
-    except TruncationTooLow as exc:
-        print(str(exc), file=err)
-        return 2
-    except StageFailure as exc:
-        print(f"determinant aborted at stage {exc.stage!r}: {exc}", file=err)
-        return 1
+    cert = triviality_check((3,))
     report = _empty_report()
     report.determinant = {
         "poly": str(cert.determinant),
@@ -311,7 +288,7 @@ def cmd_det(args, out=None, err=None):
         "rank": cert.rank,
     }
     report.overall_pass = cert.passed
-    _emit(report, args.fmt, out)
+    _emit(report, args.fmt)
     return 0 if cert.passed else 1
 
 
@@ -330,16 +307,14 @@ def _parse_rows_spec(text):
     return jp, jq
 
 
-def cmd_jet(args, out=None, err=None):
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_jet(args):
     try:
         jets_p, jets_q = _parse_rows_spec(args.rows)
     except ValueError as exc:
-        print(str(exc), file=err)
+        print(str(exc), file=sys.stderr)
         return 2
     if args.m > args.n:
-        print("normalize the splitting so m <= n", file=err)
+        print("normalize the splitting so m <= n", file=sys.stderr)
         return 2
     if args.p_directrix:
         p = JetPoint(x=Fraction(0), jets=jets_p, on_directrix=True)
@@ -352,8 +327,8 @@ def cmd_jet(args, out=None, err=None):
     (rows, cols), rank = jet_rank(args.m, args.n, (p, q))
     locus = "inside" if in_locus_B(args.m, args.n) else "outside"
     print(f"splitting (m, n) = ({args.m}, {args.n}), {locus} the "
-          "globally generated locus", file=out)
-    print(f"matrix {rows}x{cols}, rank {rank}", file=out)
+          "globally generated locus")
+    print(f"matrix {rows}x{cols}, rank {rank}")
     return 0
 
 
@@ -408,9 +383,21 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand and return its exit code.
+
+    A chain that cannot run at the ring's truncation is a usage error
+    (exit 2); a chain stage that fails is a failed verification (exit 1).
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except TruncationTooLow as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    except StageFailure as exc:
+        print(f"{args.command} aborted at stage {exc.stage!r}: {exc}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

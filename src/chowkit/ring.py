@@ -285,12 +285,13 @@ class RingPresentation:
     and no ruled generator earlier than position i, so every rewrite
     strictly drops the measure.
 
-    rules_enabled=False gives the free cover of the presentation (same
-    generators, rewriting off); ChowElement.reduce() maps back.
+    free() gives the free cover of the presentation: the same generators
+    and truncation, with no square rules.  A class of the free cover maps
+    back as ring.element(x.terms).
     """
 
     def __init__(self, generators, square_rules=None, truncation_degree=None,
-                 rules_enabled=True, rewrite_order=None):
+                 rewrite_order=None):
         self.generators = tuple(generators)
         names = [gq.name for gq in self.generators]
         if len(set(names)) != len(names):
@@ -300,7 +301,6 @@ class RingPresentation:
         if truncation_degree is not None and truncation_degree < 1:
             raise ValueError("truncation degree must be positive")
         self.truncation_degree = truncation_degree
-        self.rules_enabled = bool(rules_enabled)
 
         rules = {}
         for name, rhs in (square_rules or {}).items():
@@ -370,40 +370,24 @@ class RingPresentation:
             return NotImplemented
         return (self.generators == other.generators
                 and self.square_rules == other.square_rules
-                and self.truncation_degree == other.truncation_degree
-                and self.rules_enabled == other.rules_enabled)
+                and self.truncation_degree == other.truncation_degree)
 
     def __hash__(self):
-        return hash((self.generators, self.truncation_degree,
-                     self.rules_enabled))
+        return hash((self.generators, self.truncation_degree))
 
     def __repr__(self):
-        kind = "quotient" if self.rules_enabled else "free"
-        return (f"RingPresentation({kind}, "
+        return (f"RingPresentation("
                 f"[{', '.join(gq.name for gq in self.generators)}], "
                 f"trunc={self.truncation_degree})")
 
     def free(self):
-        if not self.rules_enabled:
-            return self
-        return self._with_flags(rules_enabled=False)
-
-    def quotient(self):
-        if self.rules_enabled:
-            return self
-        return self._with_flags(rules_enabled=True)
+        return RingPresentation(self.generators,
+                                truncation_degree=self.truncation_degree)
 
     def with_rewrite_order(self, order):
-        return self._with_flags(rewrite_order=tuple(order))
-
-    def _with_flags(self, rules_enabled=None, rewrite_order=None):
-        return RingPresentation(
-            self.generators, self.square_rules,
-            truncation_degree=self.truncation_degree,
-            rules_enabled=self.rules_enabled if rules_enabled is None
-            else rules_enabled,
-            rewrite_order=self.rewrite_order if rewrite_order is None
-            else rewrite_order)
+        return RingPresentation(self.generators, self.square_rules,
+                                truncation_degree=self.truncation_degree,
+                                rewrite_order=tuple(order))
 
     def specialize(self, g_value):
         """Presentation with g fixed to a rational number.
@@ -422,7 +406,6 @@ class RingPresentation:
         spec = RingPresentation(
             self.generators, rules,
             truncation_degree=self.truncation_degree,
-            rules_enabled=self.rules_enabled,
             rewrite_order=self.rewrite_order)
         self._specialized = {g_value: spec}
         return spec
@@ -502,20 +485,19 @@ class RingPresentation:
                     and self.monomial_degree(exps) > self.truncation_degree):
                 continue
             rewritten = False
-            if self.rules_enabled:
-                for name in self.rewrite_order:
-                    i = self._index[name]
-                    if exps[i] >= 2:
-                        base = list(exps)
-                        base[i] -= 2
-                        old_measure = self._measure(exps)
-                        for r_exps, r_coeff in self.square_rules[name].items():
-                            new = tuple(a + b for a, b in zip(base, r_exps))
-                            assert self._measure(new) < old_measure, \
-                                "rewrite failed to drop the termination measure"
-                            stack.append((new, coeff * r_coeff))
-                        rewritten = True
-                        break
+            for name in self.rewrite_order:
+                i = self._index[name]
+                if exps[i] >= 2:
+                    base = list(exps)
+                    base[i] -= 2
+                    old_measure = self._measure(exps)
+                    for r_exps, r_coeff in self.square_rules[name].items():
+                        new = tuple(a + b for a, b in zip(base, r_exps))
+                        assert self._measure(new) < old_measure, \
+                            "rewrite failed to drop the termination measure"
+                        stack.append((new, coeff * r_coeff))
+                    rewritten = True
+                    break
             if rewritten:
                 continue
             prev = out.get(exps)
@@ -675,10 +657,6 @@ class ChowElement:
         return [(d, self.graded_part(d)) for d in degs]
 
     # -- structure ops --
-
-    def reduce(self):
-        """Normal form in the quotient presentation (rules on)."""
-        return ChowElement(self.ring.quotient(), dict(self.terms))
 
     def in_free(self):
         return ChowElement(self.ring.free(), dict(self.terms))

@@ -230,9 +230,12 @@ def pushforward(ctx, element, along, zeta="zeta_p"):
     zeta_p, the one zeta those spaces have.
     along="eta_p": reinterpret a zeta_q-free class on Xtilde3/X111 on the
     one-point space (not a fibration pushforward; degree is preserved).
+    pi and eta_p integrate out no zeta and refuse any zeta but the default.
     """
     if element.ring != ctx.ring:
         raise ValueError("element does not live on the given space")
+    if along in ("pi", "eta_p") and zeta != "zeta_p":
+        raise ValueError(f"{along} integrates out no zeta; got zeta={zeta!r}")
     zetas, below = _TOWER[ctx.space_id]
     if along == "gamma_then_pi":
         if below != "P":

@@ -7,11 +7,12 @@ in g by default; passing g = <rational> reruns a computation with the
 genus specialized.
 
 Two tables hold the data: ``_RELATIONS`` gives each lemma its space and
-recipe, and ``_SYSTEMS`` gives each node profile mu its relation rows and
-degree-1 basis.  The triviality certificates turn those systems into exact
-linear algebra over Q[g]: Cramer solutions with cleared denominators for
-the inhomogeneous cases, and a certified full-rank computation (pivots
-that provably never vanish at integers g >= 0) for the homogeneous one.
+recipe, and ``_SYSTEMS`` gives each node profile mu its relation rows,
+degree-1 basis and certificate step.  The triviality certificates turn
+those systems into exact linear algebra over Q[g]: Cramer solutions with
+cleared denominators for the inhomogeneous cases, and a certified
+full-rank computation (pivots that provably never vanish at integers
+g >= 0) for the homogeneous one.
 """
 
 from __future__ import annotations
@@ -93,6 +94,8 @@ class Verdict:
     expected: ChowElement
     passed: bool
     narrative: tuple = ()
+    #: the ChainReport behind the class, for the lemma the tt chain derives
+    chain: ChainReport | None = None
 
     def __bool__(self):
         return self.passed
@@ -185,11 +188,13 @@ def verify_relation(lemma, g=None):
     if isinstance(lemma, str):
         lemma = LemmaId.from_string(lemma)
     space, recipe = _RELATIONS[lemma]
+    chain = None
     if recipe == "quoted":
         # quoted input, not a derivation; restated directly
         narrative = (("quoted divisor class", _expected_elem(lemma, g)),)
     elif recipe == "chain":
-        narrative = (("tt chain result", tt_chain(g=g).tt_class),)
+        chain = tt_chain(g=g)
+        narrative = (("tt chain result", chain.tt_class),)
     else:
         ctx = build_space(space, g=g)
         narrative = []
@@ -201,7 +206,7 @@ def verify_relation(lemma, g=None):
     expected = _expected_elem(lemma, g)
     return Verdict(lemma=lemma.value, computed=computed, expected=expected,
                    passed=(computed - expected).is_zero(),
-                   narrative=tuple(narrative))
+                   narrative=tuple(narrative), chain=chain)
 
 
 def verify_all(g=None):
@@ -236,7 +241,7 @@ def tt_chain(g=None):
         - a_free * a_free * zeta
     _check("c3-free", c3_free, want_free)
 
-    c3_reduced = c3_free.reduce()
+    c3_reduced = ctx.ring.element(c3_free.terms)
     b_cls = ctx.cls("c2E")
     want_reduced = 3 * b_cls * ctx.gen("zeta_p") - ctx.cls("c1E") * b_cls
     _check("c3-reduced", c3_reduced, want_reduced)
@@ -274,20 +279,120 @@ def tt_chain(g=None):
 
 # -- triviality --
 
-#: mu -> (relation rows in documented order, degree-1 basis); base
-#: generators are not part of these systems
+#: the degree-2 sentence every certificate ends with, before the words on
+#: the degree-2 monomials other than a2 and c2
+_DEGREE_2 = "degree 2: a2 = c2 = 0 trusted; "
+_REST = "products of vanishing degree-1 classes cover the rest"
+
+_BASE_GENS_DEG1 = ("a1", "a2p")
+
+
+def _denominator_step(den):
+    """(holds, sentence) for a cleared denominator."""
+    if den.nonvanishing_for_nonneg_g():
+        return True, f"denominator {den} never vanishes for integer g >= 0"
+    return False, f"denominator {den} vanishes at an admissible g"
+
+
+def _rank_step(rows, basis, full, short):
+    """(rank, (holds, sentence)) for the certified rank of rows.
+
+    full and short are the sentences for full rank and for less, formatted
+    with rank, n = len(basis) and the basis names.
+    """
+    rank = param_rank(rows)
+    words = dict(rank=rank, n=len(basis), basis=", ".join(basis))
+    if rank == len(basis):
+        return rank, (True, full.format(**words))
+    return rank, (False, short.format(**words))
+
+
+def _certify_3(basis, rows, labels, g):
+    """The homogeneous system: determinant, its roots, certified rank."""
+    det = bareiss_det(rows)
+    steps = [(True, f"relation rows {', '.join(labels)}"),
+             (True, f"determinant in basis ({', '.join(basis)}): {det}")]
+    roots = () if det.is_zero() else tuple(det.nonneg_integer_roots())
+    if det.is_zero():
+        steps.append((False, "determinant vanishes identically"))
+    elif roots:
+        steps.append((False, f"determinant vanishes at g = {roots}"))
+    else:
+        steps.append((True, "determinant has no nonnegative integer roots"))
+    rank, step = _rank_step(
+        rows, basis, "certified rank {rank}: the homogeneous system kills "
+        "every degree-1 generator", "certified rank {rank} < {n}")
+    steps.append(step)
+    return steps, dict(determinant=det, det_roots=roots, rank=rank,
+                       basis=basis)
+
+
+def _certify_21(basis, rows, labels, g):
+    """Cramer solve for (zeta_p, z) with the a1 column moved right.
+
+    solve_cramer re-checks its solution against every row exactly.
+    """
+    nums, den = solve_cramer([row[:2] for row in rows],
+                             [-row[2] for row in rows])
+    # normalize: den * gen = num * a1
+    ctx = build_space("PE", g=g)
+    a1 = ctx.gen("a1")
+    solved = {}
+    steps = []
+    for name, num in zip(basis[:2], nums):
+        solved[name] = (ctx.const(num) * a1, den)
+        steps.append((True, f"({den}) * {name} = ({num}) * a1"))
+    steps.append(_denominator_step(den))
+    steps.append((True, "a1 = 0 and a2p = 0 as trusted base inputs, so "
+                        "zeta_p = z = 0"))
+    return steps, dict(solved=solved, basis=basis)
+
+
+def _certify_111(basis, rows, labels, g):
+    """Certified full rank with the base generators, and the z solve."""
+    ctx = build_space("X111", g=g)
+    # full degree-1 system: lemma relations plus trusted base generators
+    full_basis = basis + ("a2p",)
+    full_rows = [row + [ParamPoly()] for row in rows]
+    for name in _BASE_GENS_DEG1:
+        full_rows.append([ParamPoly.const(1) if b == name else ParamPoly()
+                          for b in full_basis])
+    rank, step = _rank_step(
+        full_rows, full_basis,
+        "relation matrix has certified full rank {rank} on {basis}",
+        "rank {rank} < {n}: degree-1 generators not all killed")
+    # the explicit solve the narrative quotes, read off the DELTA row:
+    # (g+2) z = zeta_p + zeta_q - a1
+    delta = dict(zip(basis, rows[0]))
+    den = -delta.pop("z")
+    num = sum((ctx.const(c) * ctx.gen(name) for name, c in delta.items()),
+              ctx.zero())
+    solved = {"zeta_p": (ctx.zero(), ParamPoly.const(1)),
+              "zeta_q": (ctx.zero(), ParamPoly.const(1)),
+              "z": (num, den)}
+    steps = [step, (True, f"({den}) * z = {num.canonical()}, and the right "
+                          "side is a sum of vanishing classes")]
+    holds, sentence = _denominator_step(den)
+    if not holds:
+        steps.append((False, sentence))
+    return steps, dict(solved=solved, basis=full_basis, rank=rank)
+
+
+#: mu -> (relation rows in documented order, degree-1 basis, certificate
+#: step, the degree-2 words after _DEGREE_2); base generators are not part
+#: of the rows
 _SYSTEMS = {
     (3,): ((LemmaId.REL_3_DELTA_INPUT, LemmaId.REL_3_CONTACT4,
             LemmaId.REL_3_NODE, LemmaId.REL_3_TT),
-           ("zeta_p", "z", "a1", "a2p")),
+           ("zeta_p", "z", "a1", "a2p"), _certify_3, _REST),
     (2, 1): ((LemmaId.REL_21_TRIPLE, LemmaId.REL_21_NODE),
-             ("zeta_p", "z", "a1")),
+             ("zeta_p", "z", "a1"), _certify_21,
+             "all other degree-2 monomials are products of vanishing "
+             "degree-1 classes"),
     (1, 1, 1): ((LemmaId.REL_111_DELTA, LemmaId.REL_111_RAM_P,
                  LemmaId.REL_111_RAM_Q),
-                ("zeta_p", "zeta_q", "z", "a1")),
+                ("zeta_p", "zeta_q", "z", "a1"), _certify_111, _REST),
 }
-
-_BASE_GENS_DEG1 = ("a1", "a2p")
 
 
 def normalize_mu(mu):
@@ -302,17 +407,8 @@ def _linear_row(element, basis):
 
     Raises when the class has terms outside the span of the basis.
     """
-    row = []
-    seen = set()
-    for name in basis:
-        coeff = element.coefficient(**{name: 1})
-        row.append(coeff)
-        if not coeff.is_zero():
-            exps = [0] * len(element.ring.generators)
-            exps[element.ring.index_of(name)] = 1
-            seen.add(tuple(exps))
-    extra = set(element.terms) - seen
-    if extra:
+    row = [element.coefficient(**{name: 1}) for name in basis]
+    if len(element.terms) != sum(not c.is_zero() for c in row):
         raise ValueError(f"class has terms outside basis {basis}")
     return row
 
@@ -323,7 +419,7 @@ def relation_matrix(mu, g=None):
     Rows come straight from the verified relation classes, in documented
     order; base generators are not included here.
     """
-    lemmas, basis = _SYSTEMS[normalize_mu(mu)]
+    lemmas, basis, _, _ = _SYSTEMS[normalize_mu(mu)]
     rows = []
     for lemma in lemmas:
         verdict = verify_relation(lemma, g=g)
@@ -335,131 +431,19 @@ def relation_matrix(mu, g=None):
     return basis, rows, tuple(lemma.value for lemma in lemmas)
 
 
-def _gpoly(g):
-    return G if g is None else ParamPoly.const(g)
-
-
-def _triviality_21(g):
-    basis, rows, labels = relation_matrix((2, 1), g=g)
-    ctx = build_space("PE", g=g)
-    # move the a1 column to the right-hand side and solve for (zeta_p, z)
-    a_mat = [row[:2] for row in rows]
-    rhs = [-row[2] for row in rows]
-    nums, den = solve_cramer(a_mat, rhs)
-    # normalize: den * gen = num * a1
-    a1 = ctx.gen("a1")
-    solved = {}
-    narrative = []
-    ok = True
-    for name, num in zip(basis[:2], nums):
-        solved[name] = (ctx.const(num) * a1, den)
-        narrative.append(f"({den}) * {name} = ({num}) * a1")
-    if not den.nonvanishing_for_nonneg_g():
-        ok = False
-        narrative.append(f"denominator {den} vanishes at an admissible g")
-    else:
-        narrative.append(f"denominator {den} never vanishes for integer "
-                         "g >= 0")
-    # substitute back: den * relation at (zeta_p, z) = (num_z, num_zz) * a1
-    for row, label in zip(rows, labels):
-        residual = ctx.const(row[0] * nums[0] + row[1] * nums[1]
-                             + row[2] * den) * a1
-        if not residual.is_zero():
-            ok = False
-            narrative.append(f"substitution residual in {label}: {residual}")
-    narrative.append("a1 = 0 and a2p = 0 as trusted base inputs, so "
-                     "zeta_p = z = 0")
-    narrative.append("degree 2: a2 = c2 = 0 trusted; all other degree-2 "
-                     "monomials are products of vanishing degree-1 classes")
-    return TrivialityReport(mu=(2, 1), passed=ok, narrative=tuple(narrative),
-                            solved=solved, basis=basis)
-
-
-def _triviality_111(g):
-    basis, rows, labels = relation_matrix((1, 1, 1), g=g)
-    ctx = build_space("X111", g=g)
-    narrative = []
-    ok = True
-    # full degree-1 system: lemma relations plus trusted base generators
-    full_basis = ("zeta_p", "zeta_q", "z", "a1", "a2p")
-    full_rows = [row + [ParamPoly()] for row in rows]
-    for name in _BASE_GENS_DEG1:
-        full_rows.append([ParamPoly.const(1) if b == name else ParamPoly()
-                          for b in full_basis])
-    rank = param_rank(full_rows)
-    if rank != len(full_basis):
-        ok = False
-        narrative.append(f"rank {rank} < {len(full_basis)}: degree-1 "
-                         "generators not all killed")
-    else:
-        narrative.append("relation matrix has certified full rank "
-                         f"{rank} on {', '.join(full_basis)}")
-    # the explicit solve the narrative quotes: (g+2) z = zeta_p+zeta_q-a1
-    zp, zq = ctx.gen("zeta_p"), ctx.gen("zeta_q")
-    z, a1 = ctx.gen("z"), ctx.gen("a1")
-    den = _gpoly(g) + 2
-    num = zp + zq - a1
-    delta = verify_relation(LemmaId.REL_111_DELTA, g=g).computed
-    if ctx.const(den) * z - num != -delta:
-        ok = False
-        narrative.append("cleared-denominator identity for z failed")
-    solved = {"zeta_p": (ctx.zero(), ParamPoly.const(1)),
-              "zeta_q": (ctx.zero(), ParamPoly.const(1)),
-              "z": (num, den)}
-    narrative.append(f"({den}) * z = zeta_p + zeta_q - a1, and the right "
-                     "side is a sum of vanishing classes")
-    if not den.nonvanishing_for_nonneg_g():
-        ok = False
-        narrative.append(f"denominator {den} vanishes at an admissible g")
-    narrative.append("degree 2: a2 = c2 = 0 trusted; products of vanishing "
-                     "degree-1 classes cover the rest")
-    return TrivialityReport(mu=(1, 1, 1), passed=ok,
-                            narrative=tuple(narrative), solved=solved,
-                            basis=full_basis, rank=rank)
-
-
-def _triviality_3(g):
-    basis, rows, labels = relation_matrix((3,), g=g)
-    det = bareiss_det(rows)
-    narrative = [f"relation rows {', '.join(labels)}",
-                 f"determinant in basis ({', '.join(basis)}): {det}"]
-    ok = True
-    if det.is_zero():
-        ok = False
-        roots = ()
-        narrative.append("determinant vanishes identically")
-    else:
-        roots = tuple(det.nonneg_integer_roots())
-        if roots:
-            ok = False
-            narrative.append(f"determinant vanishes at g = {roots}")
-        else:
-            narrative.append("determinant has no nonnegative integer roots")
-    rank = param_rank(rows)
-    if rank != len(basis):
-        ok = False
-        narrative.append(f"certified rank {rank} < {len(basis)}")
-    else:
-        narrative.append(f"certified rank {rank}: the homogeneous system "
-                         "kills every degree-1 generator")
-    narrative.append("degree 2: a2 = c2 = 0 trusted; products of vanishing "
-                     "degree-1 classes cover the rest")
-    return TrivialityReport(mu=(3,), passed=ok, narrative=tuple(narrative),
-                            determinant=det, det_roots=roots, rank=rank,
-                            basis=basis)
-
-
-_CERTIFICATES = {(3,): _triviality_3, (2, 1): _triviality_21,
-                 (1, 1, 1): _triviality_111}
-
-
 def triviality_check(mu, g=None):
     """Certify that every positive-degree generator dies for this mu.
 
     Base-ring generators (a1, a2, a2p, c2) vanish as a trusted input; the
     certificate shows the relation set then kills the remaining degree-1
     generators, with denominators that provably never vanish at integers
-    g >= 0.  Substituted solutions are re-checked against every relation
-    exactly.
+    g >= 0.  Each step of the certificate is a (holds, sentence) pair; the
+    report passes when every step holds.
     """
-    return _CERTIFICATES[normalize_mu(mu)](g)
+    mu = normalize_mu(mu)
+    _, _, certify, degree_2 = _SYSTEMS[mu]
+    steps, fields = certify(*relation_matrix(mu, g=g), g)
+    steps.append((True, _DEGREE_2 + degree_2))
+    return TrivialityReport(mu=mu, passed=all(ok for ok, _ in steps),
+                            narrative=tuple(line for _, line in steps),
+                            **fields)

@@ -307,6 +307,30 @@ class TestDetCommand:
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--g", "symbolic"),
+    ("verify", "--lemma", "REL-3-TT", "--format", "json"),
+])
+def test_verify_runs_tt_chain_once(capsys, monkeypatch, argv):
+    # the printed chain is the one behind the REL-3-TT verdict; count the
+    # calls through every binding of the name
+    import chowkit.cli as cli_mod
+    import chowkit.verify as verify_mod
+    calls = []
+    real = verify_mod.tt_chain
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "tt_chain", counting)
+    monkeypatch.setattr(cli_mod, "tt_chain", counting, raising=False)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "tt-class" in out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("truncation", ["1", "2"])
 class TestTruncationGuard:
     """Commands that need the tt chain refuse a truncation below 3."""

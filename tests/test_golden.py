@@ -2,14 +2,17 @@
 byte for byte, with the saved exit code.
 
 The files under tests/golden/ were written by ``python tests/test_golden.py
---write`` with CHOWKIT_TRUNCATION unset.  ``--write`` writes only the files
-that are missing, so adding a case never rewrites a frozen report;
-``--write --force`` rewrites them all.  Force it only for an intended
-change of output, never to make a refactor pass.
+--write`` with CHOWKIT_TRUNCATION unset.  Besides the CLI runs, one file
+pins every field of the triviality certificates, which the CLI prints only
+in part.  ``--write`` writes only the files that are missing, so adding a
+case never rewrites a frozen report; ``--write --force`` rewrites them all.
+Force it only for an intended change of output, never to make a refactor
+pass.
 """
 
 import contextlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from chowkit.cli import main
+from chowkit.verify import triviality_check
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -45,6 +49,9 @@ CASES = {
                                "--format", "json"), 0),
     "strata-8.txt": (("strata", "--g", "8"), 0),
     "verify-symbolic.txt": (("verify", "--g", "symbolic"), 0),
+    "verify-REL-3-TT.txt": (("verify", "--lemma", "REL-3-TT"), 0),
+    "verify-REL-3-TT.json": (("verify", "--lemma", "REL-3-TT", "--format",
+                              "json"), 0),
     "det.txt": (("det",), 0),
     "jet-0..12.txt": (tuple(_jet_runs()), 0),
 }
@@ -57,6 +64,38 @@ def _run(argv):
     with contextlib.redirect_stdout(out):
         codes = {main(list(run)) for run in runs}
     return codes, out.getvalue()
+
+
+def _triviality_reports():
+    """Every TrivialityReport field for each mu at g = symbolic, 0 and 4,
+    as indented JSON: classes by canonical string, polynomials by str."""
+    reports = []
+    for mu in ((3,), (2, 1), (1, 1, 1)):
+        for g in (None, 0, 4):
+            rep = triviality_check(mu, g=g)
+            reports.append({
+                "mu": list(rep.mu),
+                "g": g,
+                "passed": rep.passed,
+                "narrative": list(rep.narrative),
+                "solved": {name: [num.canonical(), str(den)]
+                           for name, (num, den) in rep.solved.items()},
+                "determinant": (None if rep.determinant is None
+                                else str(rep.determinant)),
+                "det_roots": (None if rep.det_roots is None
+                              else list(rep.det_roots)),
+                "rank": rep.rank,
+                "basis": list(rep.basis),
+            })
+    return json.dumps(reports, indent=2) + "\n"
+
+
+TRIVIALITY = GOLDEN_DIR / "triviality.json"
+
+
+def test_golden_triviality_reports(monkeypatch):
+    monkeypatch.delenv("CHOWKIT_TRUNCATION", raising=False)
+    assert _triviality_reports() == TRIVIALITY.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -81,3 +120,5 @@ if __name__ == "__main__" and sys.argv[1:2] == ["--write"]:
         if codes != {want_code}:
             raise SystemExit(f"{name}: exit {codes}, expected {want_code}")
         (GOLDEN_DIR / name).write_text(out, encoding="utf-8")
+    if force or not TRIVIALITY.exists():
+        TRIVIALITY.write_text(_triviality_reports(), encoding="utf-8")

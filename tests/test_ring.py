@@ -239,7 +239,7 @@ class TestNormalization:
         assert cube == expect
         # the cube left the free presentation: re-normalizing its free
         # image reproduces it
-        assert cube.in_free().reduce() == cube
+        assert pe.element(cube.in_free().terms) == cube
 
     def test_truncation_drops_high_degree(self):
         pe = pe_ring(truncation=2)
@@ -248,10 +248,11 @@ class TestNormalization:
         assert not (zeta ** 2).is_zero()
 
     def test_free_ring_keeps_squares(self):
-        free = pe_ring(truncation=8).free()
+        pe = pe_ring(truncation=8)
+        free = pe.free()
         zeta = free.gen("zeta_p")
         assert (zeta * zeta).canonical() == "zeta_p**2"
-        assert (zeta * zeta).reduce().canonical() == \
+        assert pe.element((zeta * zeta).terms).canonical() == \
             "(g+2)*z*zeta_p + a1*zeta_p - a2 - a2p*z"
 
 

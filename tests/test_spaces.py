@@ -192,12 +192,20 @@ def test_pushforward_eta_p(spaces):
         pushforward(x111, x111.gen("zeta_q"), "eta_p")
 
 
+def test_pushforward_eta_p_rejects_zeta(spaces):
+    # eta_p integrates out no zeta: only the default is accepted, even for
+    # a class it maps (pi's refusal is pinned by _PUSHFORWARDS)
+    x111 = spaces["X111"]
+    elem = x111.parse("zeta_p + 2*z")
+    with pytest.raises(ValueError, match="zeta"):
+        pushforward(x111, elem, "eta_p", zeta="zeta_q")
+
+
 #: (space, map, zeta) -> (space of the result, canonical text) of every
 #: pushforward of _weighted_square that succeeds; all others raise
 #: ValueError.
 _PUSHFORWARDS = {
     ("P", "pi", "zeta_p"): ("B", "16*a2 + 24*c2 + 12*a1 + 20*a2p + 4"),
-    ("P", "pi", "zeta_q"): ("B", "16*a2 + 24*c2 + 12*a1 + 20*a2p + 4"),
     ("PE", "gamma", "zeta_p"):
         ("P", "20*a2 + 28*c2 + (4*g+20)*z + 20*a1 + 24*a2p + 4"),
     ("PE", "gamma_then_pi", "zeta_p"): ("B", "(4*g+20)"),

@@ -303,6 +303,20 @@ class TestTriviality:
         with pytest.raises(ValueError):
             triviality_check((5,))
 
+    def test_mu111_verifies_each_relation_once(self, monkeypatch):
+        # the z solution is read off the DELTA row, not rebuilt
+        import chowkit.verify as verify_mod
+        calls = []
+        real = verify_mod.verify_relation
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "verify_relation", counting)
+        assert triviality_check((1, 1, 1)).passed
+        assert len(calls) == 3
+
 
 class TestTamperDetection:
     def test_wrong_expected_fails(self, monkeypatch):
