@@ -11,7 +11,10 @@ field order, so serialization is byte-stable for fixed inputs; the
 structure is frozen in report-schema.json next to this module.  The
 report writer reproduces json.dumps(indent=2, ensure_ascii=False) byte
 for byte and accepts only dict (with str keys), list, str, int, bool and
-None; anything else, floats included, raises TypeError.
+None, plus a _Json fragment: text the writer already produced, which it
+re-indents in place; anything else, floats included, raises TypeError.
+The strata report is written straight from the stratum descriptors, with
+each side's display string and JSON block rendered once per report.
 """
 
 from __future__ import annotations
@@ -46,6 +49,17 @@ _REPORT_FIELDS = (
 _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
+class _Json(str):
+    """JSON text written by _json_text at indent 0.
+
+    The writer splices it in by re-indenting each line: encode_basestring
+    escapes every newline inside a string, so each newline in the text is
+    a layout break.
+    """
+
+    __slots__ = ()
+
+
 def _json_text(o, pad=""):
     """json.dumps(o, indent=2, ensure_ascii=False), with pad the indent.
 
@@ -72,6 +86,8 @@ def _json_text(o, pad=""):
         inner = pad + "  "
         return ("[\n" + inner + (",\n" + inner).join(
             [_json_text(value, inner) for value in o]) + "\n" + pad + "]")
+    if t is _Json:
+        return o.replace("\n", "\n" + pad)
     if t is bool or o is None:
         return _JSON_CONSTANTS[o]
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
@@ -127,17 +143,43 @@ def _factor_payload(factor, display):
     }
 
 
-def _stratum_payload(stratum):
-    side1 = format_factor(stratum.side1)
-    side2 = format_factor(stratum.side2)
-    return {
-        "j": stratum.j,
-        "node-profile": list(stratum.node_profile),
-        "side1": _factor_payload(stratum.side1, side1),
-        "side2": _factor_payload(stratum.side2, side2),
-        "quotient": stratum.quotient_group,
-        "display": format_stratum(stratum, side1, side2),
-    }
+def _strata_json(strata):
+    """The strata list as _Json, equal to _json_text of the list of
+    stratum payloads (keys j, node-profile, side1, side2, quotient,
+    display).
+
+    Many strata share a side object, so each side's display string and
+    JSON block are rendered once, keyed by id: strata keeps every side
+    alive for the whole call.
+    """
+    sides = {}
+
+    def side_json(side):
+        entry = sides.get(id(side))
+        if entry is None:
+            display = format_factor(side)
+            entry = sides[id(side)] = (display, _json_text(
+                _factor_payload(side, display), "    "))
+        return entry
+
+    profiles = {p: _json_text(list(p), "    ")
+                for p in {s.node_profile for s in strata}}
+    items = []
+    for s in strata:
+        display1, block1 = side_json(s.side1)
+        display2, block2 = side_json(s.side2)
+        items.append(
+            '{\n    "j": ' + str(s.j)
+            + ',\n    "node-profile": ' + profiles[s.node_profile]
+            + ',\n    "side1": ' + block1
+            + ',\n    "side2": ' + block2
+            + ',\n    "quotient": ' + encode_basestring(s.quotient_group)
+            + ',\n    "display": '
+            + encode_basestring(format_stratum(s, display1, display2))
+            + "\n  }")
+    if not items:
+        return _Json("[]")
+    return _Json("[\n  " + ",\n  ".join(items) + "\n]")
 
 
 def parse_g_spec(text):
@@ -184,13 +226,6 @@ def _emit(report, fmt):
     if report.chain is not None:
         for stage, value in report.chain.items():
             print(f"chain {stage:<12} {value}")
-    if report.strata is not None:
-        for s in report.strata["strata"]:
-            print(s["display"])
-        print(f"total: {report.strata['count']}")
-        if report.strata.get("oracle-checked"):
-            agree = report.strata["oracle-agrees"]
-            print("oracle: " + ("agrees" if agree else "MISMATCH"))
     if report.determinant is not None:
         d = report.determinant
         basis = ", ".join(d["basis"])
@@ -250,28 +285,36 @@ def cmd_strata(args):
     if args.g < 0:
         print("genus must be nonnegative", file=sys.stderr)
         return 2
+    # the oracle runs first, so its genus cap is checked before any
+    # enumeration
+    try:
+        reference = oracle_enumerate(args.g) if args.oracle else None
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     strata = enumerate_codim1(args.g)
-    payload = {
-        "genus": args.g,
-        "count": len(strata),
-        "oracle-checked": bool(args.oracle),
-        "oracle-agrees": None,
-        "strata": [_stratum_payload(s) for s in strata],
-    }
     report = _empty_report(mode="sampled", g_values=[args.g])
-    report.strata = payload
+    agree = None
     if args.oracle:
-        try:
-            reference = oracle_enumerate(args.g)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
         agree = reference == strata
-        payload["oracle-agrees"] = agree
         if not agree:
             report.overall_pass = False
             print(f"oracle mismatch: {len(strata)} enumerated vs "
                   f"{len(reference)} brute-forced", file=sys.stderr)
+    if args.fmt == "json":
+        report.strata = {
+            "genus": args.g,
+            "count": len(strata),
+            "oracle-checked": bool(args.oracle),
+            "oracle-agrees": agree,
+            "strata": _strata_json(strata),
+        }
+    else:
+        for s in strata:
+            print(format_stratum(s))
+        print(f"total: {len(strata)}")
+        if args.oracle:
+            print("oracle: " + ("agrees" if agree else "MISMATCH"))
     _emit(report, args.fmt)
     return 0 if report.overall_pass else 1
 

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import chowkit
-from chowkit.cli import (_REPORT_FIELDS, Report, _empty_report, _json_text,
-                         _stratum_payload, main, parse_g_spec)
-from chowkit.strata import enumerate_codim1
+from chowkit.cli import (_REPORT_FIELDS, Report, _empty_report,
+                         _factor_payload, _Json, _json_text, _strata_json,
+                         main, parse_g_spec)
+from chowkit.strata import enumerate_codim1, format_factor, format_stratum
 
 
 def run(capsys, *argv):
@@ -187,6 +188,36 @@ class TestStrataCommand:
         assert code == 2
         assert "capped" in err
 
+    def test_oracle_cap_checked_before_enumerating(self, capsys,
+                                                   monkeypatch):
+        def refuse(g):
+            raise AssertionError("enumerated before the oracle cap check")
+
+        monkeypatch.setattr(chowkit.cli, "enumerate_codim1", refuse)
+        code, out, err = run(capsys, "strata", "--g", "1000000", "--oracle")
+        assert code == 2
+        assert out == ""
+        assert "oracle capped at genus 30" in err
+
+    def test_json_renders_each_side_once(self, capsys, monkeypatch):
+        # g = 2000: 8002 strata over 10005 distinct side objects
+        counts = dict.fromkeys(("format_factor", "format_stratum"), 0)
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in counts:
+            wrapped = counting(name, getattr(chowkit.strata, name))
+            monkeypatch.setattr(chowkit.cli, name, wrapped)
+            monkeypatch.setattr(chowkit.strata, name, wrapped)
+        code, _, _ = run(capsys, "strata", "--g", "2000", "--format", "json")
+        assert code == 0
+        assert counts["format_stratum"] == 8002
+        assert counts["format_factor"] <= 10005
+
     def test_negative_genus_exits_2(self, capsys):
         code, _, err = run(capsys, "strata", "--g", "-1")
         assert code == 2
@@ -218,6 +249,24 @@ _JSON_VALUES = st.recursive(
     max_leaves=20)
 
 
+_PADS = st.text(alphabet=" ", max_size=8)
+
+
+def _stratum_payload(stratum):
+    """Reference: one stratum's report entry as a plain dict, each side
+    formatted afresh."""
+    side1 = format_factor(stratum.side1)
+    side2 = format_factor(stratum.side2)
+    return {
+        "j": stratum.j,
+        "node-profile": list(stratum.node_profile),
+        "side1": _factor_payload(stratum.side1, side1),
+        "side2": _factor_payload(stratum.side2, side2),
+        "quotient": stratum.quotient_group,
+        "display": format_stratum(stratum, side1, side2),
+    }
+
+
 class TestJsonWriter:
     """The report writer is json.dumps(indent=2, ensure_ascii=False)."""
 
@@ -226,15 +275,35 @@ class TestJsonWriter:
         assert _json_text(value) == json.dumps(value, indent=2,
                                                ensure_ascii=False)
 
+    @given(_JSON_VALUES, _JSON_TEXT, _PADS)
+    def test_fragment_writes_as_its_value(self, value, key, pad):
+        # _JSON_TEXT draws strings with newlines, U+2028 and quotes
+        fragment = _Json(_json_text(value))
+        assert _json_text(fragment, pad) == _json_text(value, pad)
+        assert _json_text([fragment, 0], pad) == _json_text([value, 0], pad)
+        assert _json_text({key: fragment}, pad) == \
+            _json_text({key: value}, pad)
+        assert _json_text({key: [fragment]}) == json.dumps(
+            {key: [value]}, indent=2, ensure_ascii=False)
+
+    @pytest.mark.parametrize("g", [*range(31), 2000])
+    def test_strata_json_matches_reference(self, g):
+        strata = enumerate_codim1(g)
+        assert _strata_json(strata) == json.dumps(
+            [_stratum_payload(s) for s in strata], indent=2,
+            ensure_ascii=False)
+
     def test_large_strata_report_matches_stdlib(self):
+        strata = enumerate_codim1(2000)
         report = _empty_report(mode="sampled", g_values=[2000])
-        report.strata = {"strata": [_stratum_payload(s)
-                                    for s in enumerate_codim1(2000)]}
+        report.strata = {"strata": [_stratum_payload(s) for s in strata]}
         payload = {key: getattr(report, attr)
                    for key, attr in _REPORT_FIELDS}
         text = report.to_json()
         assert text == json.dumps(payload, indent=2, ensure_ascii=False)
         assert Report.from_json(text).to_json() == text
+        report.strata = {"strata": _strata_json(strata)}
+        assert report.to_json() == text
 
     @pytest.mark.parametrize("bad", [1.5, (1, 2), {"a": [0.0]}, {1: 2},
                                      {"a": {1, 2}}])

@@ -11,6 +11,7 @@ pass.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from chowkit.cli import main
+from chowkit.cli import Report, main
 from chowkit.verify import triviality_check
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -44,6 +45,8 @@ CASES = {
                               "json"), 0),
     "verify-0..4.json": (("verify", "--g", "0..4", "--format", "json"), 0),
     "det.json": (("det", "--format", "json"), 0),
+    "strata-0.json": (("strata", "--g", "0", "--format", "json"), 0),
+    "strata-1.json": (("strata", "--g", "1", "--format", "json"), 0),
     "strata-8.json": (("strata", "--g", "8", "--format", "json"), 0),
     "strata-30-oracle.json": (("strata", "--g", "30", "--oracle",
                                "--format", "json"), 0),
@@ -88,6 +91,27 @@ def _triviality_reports():
                 "basis": list(rep.basis),
             })
     return json.dumps(reports, indent=2) + "\n"
+
+
+#: SHA-256 of the stdout of `strata --g 2000` (8002 strata), too large to
+#: keep as a file; JSON first, then text
+LARGE_STRATA = (
+    (("strata", "--g", "2000", "--format", "json"),
+     "4da70e52341f524ac982a2e9a8ff1e3a03633a173c1715670b4e808552b3bbd2"),
+    (("strata", "--g", "2000"),
+     "27b7d06d7adddbd3db3bff677daf32e8668d029d75ae72651ebce4cfb5ba1918"),
+)
+
+
+def test_golden_large_strata_reports(monkeypatch):
+    monkeypatch.delenv("CHOWKIT_TRUNCATION", raising=False)
+    outs = []
+    for argv, digest in LARGE_STRATA:
+        codes, out = _run(argv)
+        assert codes == {0}
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        outs.append(out)
+    assert Report.from_json(outs[0]).to_json() + "\n" == outs[0]
 
 
 TRIVIALITY = GOLDEN_DIR / "triviality.json"
