@@ -13,8 +13,10 @@ report writer reproduces json.dumps(indent=2, ensure_ascii=False) byte
 for byte and accepts only dict (with str keys), list, str, int, bool and
 None, plus a _Json fragment: text the writer already produced, which it
 re-indents in place; anything else, floats included, raises TypeError.
-The strata report is written straight from the stratum descriptors, with
-each side's display string and JSON block rendered once per report.
+The strata report is written straight from the stratum descriptors: each
+side's display string is derived once per side object, in text and JSON
+alike, and its JSON block is rendered once per report.  A genus is read
+as ASCII decimal digits only.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from json.encoder import encode_basestring
 from . import __version__
 from .bundles import JetPoint, in_locus_B, jet_rank
 from .spaces import _truncation_from_env
-from .strata import (enumerate_codim1, format_factor, format_stratum,
-                     oracle_enumerate)
+from .strata import enumerate_codim1, format_stratum, oracle_enumerate
 from .verify import (LemmaId, StageFailure, TruncationTooLow,
                      triviality_check, verify_relation)
 
@@ -134,12 +135,12 @@ def _chain_payload(chain):
     return {stage: value.canonical() for stage, value in chain.stages()}
 
 
-def _factor_payload(factor, display):
+def _factor_payload(factor):
     return {
         "degrees": list(factor.degrees),
         "genera": list(factor.genera),
         "profiles": [list(p) for p in factor.profiles],
-        "display": display,
+        "display": factor.display,
     }
 
 
@@ -148,44 +149,54 @@ def _strata_json(strata):
     stratum payloads (keys j, node-profile, side1, side2, quotient,
     display).
 
-    Many strata share a side object, so each side's display string and
-    JSON block are rendered once, keyed by id: strata keeps every side
-    alive for the whole call.
+    Many strata share a side object, so each side's JSON block is
+    rendered once, keyed by id: strata keeps every side alive for the
+    whole call.
     """
     sides = {}
 
     def side_json(side):
-        entry = sides.get(id(side))
-        if entry is None:
-            display = format_factor(side)
-            entry = sides[id(side)] = (display, _json_text(
-                _factor_payload(side, display), "    "))
-        return entry
+        block = sides.get(id(side))
+        if block is None:
+            block = sides[id(side)] = _json_text(_factor_payload(side),
+                                                 "    ")
+        return block
 
     profiles = {p: _json_text(list(p), "    ")
                 for p in {s.node_profile for s in strata}}
     items = []
     for s in strata:
-        display1, block1 = side_json(s.side1)
-        display2, block2 = side_json(s.side2)
         items.append(
             '{\n    "j": ' + str(s.j)
             + ',\n    "node-profile": ' + profiles[s.node_profile]
-            + ',\n    "side1": ' + block1
-            + ',\n    "side2": ' + block2
+            + ',\n    "side1": ' + side_json(s.side1)
+            + ',\n    "side2": ' + side_json(s.side2)
             + ',\n    "quotient": ' + encode_basestring(s.quotient_group)
-            + ',\n    "display": '
-            + encode_basestring(format_stratum(s, display1, display2))
+            + ',\n    "display": ' + encode_basestring(format_stratum(s))
             + "\n  }")
     if not items:
         return _Json("[]")
     return _Json("[\n  " + ",\n  ".join(items) + "\n]")
 
 
+def parse_genus(text):
+    """A genus written in ASCII decimal digits, spaces around allowed.
+
+    int() alone would also read a sign, underscores ('1_0') and non-ASCII
+    digits ('\u0663'), so those are refused here.
+    """
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"genus must be a nonnegative integer in ASCII "
+                         f"digits, got {text!r}")
+    return int(digits)
+
+
 def parse_g_spec(text):
     """None for symbolic, else a list of nonnegative integers.
 
-    Accepts a single value, a comma list, and ranges like 0..50.
+    Accepts a single value, a comma list, and ranges like 0..50, each
+    genus read by parse_genus.
     """
     if text == "symbolic":
         return None
@@ -194,18 +205,14 @@ def parse_g_spec(text):
         chunk = chunk.strip()
         if ".." in chunk:
             lo_text, hi_text = chunk.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
+            lo, hi = parse_genus(lo_text), parse_genus(hi_text)
             if lo > hi:
                 raise ValueError(f"empty range {chunk!r}")
             values.extend(range(lo, hi + 1))
         elif chunk:
-            values.append(int(chunk))
+            values.append(parse_genus(chunk))
         else:
             raise ValueError("empty g entry")
-    if not values:
-        raise ValueError("no g values given")
-    if any(v < 0 for v in values):
-        raise ValueError("g must be nonnegative")
     seen = set()
     out = []
     for v in values:
@@ -282,18 +289,20 @@ def cmd_verify(args):
 
 
 def cmd_strata(args):
-    if args.g < 0:
-        print("genus must be nonnegative", file=sys.stderr)
+    try:
+        g = parse_genus(args.g)
+    except ValueError as exc:
+        print(f"bad --g value: {exc}", file=sys.stderr)
         return 2
     # the oracle runs first, so its genus cap is checked before any
     # enumeration
     try:
-        reference = oracle_enumerate(args.g) if args.oracle else None
+        reference = oracle_enumerate(g) if args.oracle else None
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    strata = enumerate_codim1(args.g)
-    report = _empty_report(mode="sampled", g_values=[args.g])
+    strata = enumerate_codim1(g)
+    report = _empty_report(mode="sampled", g_values=[g])
     agree = None
     if args.oracle:
         agree = reference == strata
@@ -303,7 +312,7 @@ def cmd_strata(args):
                   f"{len(reference)} brute-forced", file=sys.stderr)
     if args.fmt == "json":
         report.strata = {
-            "genus": args.g,
+            "genus": g,
             "count": len(strata),
             "oracle-checked": bool(args.oracle),
             "oracle-agrees": agree,
@@ -356,6 +365,9 @@ def cmd_jet(args):
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    if args.m < 0:
+        print("the splitting needs 0 <= m <= n", file=sys.stderr)
+        return 2
     if args.m > args.n:
         print("normalize the splitting so m <= n", file=sys.stderr)
         return 2
@@ -398,7 +410,8 @@ def build_parser():
 
     p_strata = sub.add_parser(
         "strata", help="enumerate codimension-1 boundary strata")
-    p_strata.add_argument("--g", type=int, required=True)
+    p_strata.add_argument("--g", required=True,
+                          help="the genus, a nonnegative integer")
     p_strata.add_argument("--oracle", action="store_true",
                           help="cross-check against the brute-force oracle")
     p_strata.add_argument("--format", dest="fmt", default="text",

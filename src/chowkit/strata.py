@@ -13,16 +13,20 @@ Descriptors are canonicalized with side 1 the larger-j side; at j = b-j
 the mirror pair collapses to one stratum with sides sorted.  The gluing
 quotient group is looked up from the configuration shapes.
 
-enumerate_codim1 builds the list from the closed-form family rules;
-oracle_enumerate rediscovers it by brute force (all degree shapes, all
-profile-part distributions, all genera, connectivity by trying every
-node-slot matching) for cross-checking.
+enumerate_codim1 builds the list from the closed-form family rules, which
+generate it in canonical (sort_key) order, with one side object per
+distinct side of each split; oracle_enumerate rediscovers it by brute
+force (all degree shapes, all profile-part distributions, all genera,
+connectivity by trying every node-slot matching) for cross-checking.
+A side's display string is derived once per object, so a report that
+shows a shared side many times renders it once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 _NODE_PROFILES = ((3,), (2, 1), (1, 1, 1))
 _QUOTIENTS = ("trivial", "Z2", "S3", "S3xZ2")
@@ -89,6 +93,11 @@ class FactorSpace:
     @property
     def arithmetic_genus(self):
         return sum(self.genera) - (len(self.degrees) - 1)
+
+    @cached_property
+    def display(self):
+        """format_factor(self), derived once: many strata share a side."""
+        return format_factor(self)
 
     def branch_needs(self):
         """Per-component simple branch counts forced by Riemann-Hurwitz."""
@@ -187,24 +196,28 @@ def _glues_connected(profile, side1, side2):
 
 
 def enumerate_codim1(g):
-    """All codim-1 boundary strata for genus g, canonically ordered."""
+    """All codim-1 boundary strata for genus g, in sort_key order.
+
+    The family rules generate that order: j rises from the mirror split
+    b/2, node profiles come fewest points first, and _side_configs lists
+    the connected side before the split one.
+    """
     b = branch_count(g)
     found = []
-    for j in range(b // 2 + 1, b - 1):  # larger side first; j > b-j
-        found.extend(_strata_for_split(g, j, mirror=False))
-    found.extend(_strata_for_split(g, b // 2, mirror=True))
-    found.sort(key=StratumDescriptor.sort_key)
+    for j in range(b // 2, b - 1):  # side 1 is the larger side, j >= b-j
+        found.extend(_strata_for_split(g, j))
     return found
 
 
-def _strata_for_split(g, j, mirror):
+def _strata_for_split(g, j):
     b = branch_count(g)
+    mirror = 2 * j == b
     out = []
     for profile in _NODE_PROFILES:
         if (j + _contribution(profile)) % 2:
             continue
         side2_configs = _side_configs(profile, b - j)
-        for s1 in _side_configs(profile, j):
+        for s1 in side2_configs if mirror else _side_configs(profile, j):
             for s2 in side2_configs:
                 if mirror and s1.sort_key() > s2.sort_key():
                     continue
@@ -357,13 +370,8 @@ def format_factor(factor):
     return f"H({degrees};{genera};{profiles})"
 
 
-def format_stratum(stratum, side1=None, side2=None):
-    """One-line display; side1 and side2, when given, are the sides'
-    format_factor strings, already computed by the caller."""
-    if side1 is None:
-        side1 = format_factor(stratum.side1)
-    if side2 is None:
-        side2 = format_factor(stratum.side2)
+def format_stratum(stratum):
+    """One-line display."""
     profile = ",".join(str(p) for p in stratum.node_profile)
-    return (f"D{stratum.j} ({profile}): {side1} x {side2}"
-            f" [{stratum.quotient_group}]")
+    return (f"D{stratum.j} ({profile}): {stratum.side1.display} x "
+            f"{stratum.side2.display} [{stratum.quotient_group}]")

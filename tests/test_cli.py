@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import chowkit
-from chowkit.cli import (_REPORT_FIELDS, Report, _empty_report,
-                         _factor_payload, _Json, _json_text, _strata_json,
-                         main, parse_g_spec)
+from chowkit.cli import (_REPORT_FIELDS, Report, _empty_report, _Json,
+                         _json_text, _strata_json, main, parse_g_spec)
 from chowkit.strata import enumerate_codim1, format_factor, format_stratum
 
 
@@ -200,7 +199,8 @@ class TestStrataCommand:
         assert "oracle capped at genus 30" in err
 
     def test_json_renders_each_side_once(self, capsys, monkeypatch):
-        # g = 2000: 8002 strata over 10005 distinct side objects
+        # g = 2000: 8002 strata over 10002 distinct side objects, in both
+        # report formats; format_factor is called only from chowkit.strata
         counts = dict.fromkeys(("format_factor", "format_stratum"), 0)
 
         def counting(name, fn):
@@ -210,13 +210,16 @@ class TestStrataCommand:
             return wrapped
 
         for name in counts:
-            wrapped = counting(name, getattr(chowkit.strata, name))
-            monkeypatch.setattr(chowkit.cli, name, wrapped)
-            monkeypatch.setattr(chowkit.strata, name, wrapped)
-        code, _, _ = run(capsys, "strata", "--g", "2000", "--format", "json")
-        assert code == 0
-        assert counts["format_stratum"] == 8002
-        assert counts["format_factor"] <= 10005
+            monkeypatch.setattr(chowkit.strata, name,
+                                counting(name, getattr(chowkit.strata, name)))
+        monkeypatch.setattr(chowkit.cli, "format_stratum",
+                            chowkit.strata.format_stratum)
+        for fmt in ("json", "text"):
+            counts.update(dict.fromkeys(counts, 0))
+            code, _, _ = run(capsys, "strata", "--g", "2000", "--format", fmt)
+            assert code == 0
+            assert counts["format_stratum"] == 8002, fmt
+            assert counts["format_factor"] <= 10002, fmt
 
     def test_negative_genus_exits_2(self, capsys):
         code, _, err = run(capsys, "strata", "--g", "-1")
@@ -252,18 +255,25 @@ _JSON_VALUES = st.recursive(
 _PADS = st.text(alphabet=" ", max_size=8)
 
 
+def _side_payload(factor):
+    return {
+        "degrees": list(factor.degrees),
+        "genera": list(factor.genera),
+        "profiles": [list(p) for p in factor.profiles],
+        "display": format_factor(factor),
+    }
+
+
 def _stratum_payload(stratum):
     """Reference: one stratum's report entry as a plain dict, each side
     formatted afresh."""
-    side1 = format_factor(stratum.side1)
-    side2 = format_factor(stratum.side2)
     return {
         "j": stratum.j,
         "node-profile": list(stratum.node_profile),
-        "side1": _factor_payload(stratum.side1, side1),
-        "side2": _factor_payload(stratum.side2, side2),
+        "side1": _side_payload(stratum.side1),
+        "side2": _side_payload(stratum.side2),
         "quotient": stratum.quotient_group,
-        "display": format_stratum(stratum, side1, side2),
+        "display": format_stratum(stratum),
     }
 
 
@@ -485,6 +495,46 @@ class TestJetCommand:
     def test_unnormalized_splitting_exits_2(self, capsys):
         code, _, err = run(capsys, "jet", "--m", "4", "--n", "2")
         assert code == 2
+
+    def test_negative_m_exits_2(self, capsys):
+        # the supported splittings are 0 <= m <= n
+        code, out, err = run(capsys, "jet", "--m", "-1", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert "0 <= m <= n" in err
+
+
+class TestGenusInput:
+    """A genus is ASCII decimal digits: int() alone would also read a
+    non-ASCII digit such as Arabic-Indic three, an underscore or a sign."""
+
+    @pytest.mark.parametrize("command", ["verify", "strata"])
+    @pytest.mark.parametrize("text", ["\u0663", "1_0", "+3", "3.0", "",
+                                      "-1", "0x3", "\uff13"],
+                             ids=["arabic-indic-3", "underscore", "plus",
+                                  "decimal-point", "empty", "negative",
+                                  "hex", "fullwidth-3"])
+    def test_rejected(self, capsys, command, text):
+        code, out, err = run(capsys, command, "--g", text)
+        assert code == 2
+        assert out == ""
+        assert "bad --g value" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ["\u0663", "1_0", "0..\u0663", "1_0..12",
+                                     "+3", " ", "0, 1_0"],
+                             ids=["arabic-indic-3", "underscore",
+                                  "range-end", "range-start", "plus",
+                                  "blank", "list-entry"])
+    def test_spec_rejects(self, bad):
+        with pytest.raises(ValueError):
+            parse_g_spec(bad)
+
+    def test_spacing_still_accepted(self, capsys):
+        assert parse_g_spec(" 3 ,4.. 5") == [3, 4, 5]
+        code, out, _ = run(capsys, "strata", "--g", " 1 ")
+        assert code == 0
+        assert "\ntotal: 5\n" in out
 
 
 class TestParser:

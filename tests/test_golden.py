@@ -50,7 +50,11 @@ CASES = {
     "strata-8.json": (("strata", "--g", "8", "--format", "json"), 0),
     "strata-30-oracle.json": (("strata", "--g", "30", "--oracle",
                                "--format", "json"), 0),
+    "strata-0.txt": (("strata", "--g", "0"), 0),
+    "strata-1.txt": (("strata", "--g", "1"), 0),
     "strata-8.txt": (("strata", "--g", "8"), 0),
+    "strata-9.txt": (("strata", "--g", "9"), 0),
+    "strata-9.json": (("strata", "--g", "9", "--format", "json"), 0),
     "verify-symbolic.txt": (("verify", "--g", "symbolic"), 0),
     "verify-REL-3-TT.txt": (("verify", "--lemma", "REL-3-TT"), 0),
     "verify-REL-3-TT.json": (("verify", "--lemma", "REL-3-TT", "--format",

@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+import chowkit.strata
 from chowkit.strata import (FACTOR_FAMILIES, FactorSpace, StratumDescriptor,
                             branch_count, classify_factor, enumerate_codim1,
                             format_factor, format_stratum, oracle_enumerate,
@@ -187,7 +188,9 @@ class TestEnumeration:
         assert groups == ["S3xZ2", "Z2", "Z2"]
 
     def test_sorted_and_canonical(self):
-        for g in (0, 3, 5):
+        # enumerate_codim1 sorts nothing: the family rules must yield the
+        # sort_key order themselves
+        for g in range(300):
             found = enumerate_codim1(g)
             keys = [s.sort_key() for s in found]
             assert keys == sorted(keys)
@@ -198,6 +201,85 @@ class TestEnumeration:
             for s in found:
                 if s.j == b - s.j:
                     assert s.side1.sort_key() <= s.side2.sort_key()
+
+    @pytest.mark.parametrize("g", [0, 1, 9, 2000])
+    def test_mirror_split_builds_sides_once(self, g, monkeypatch):
+        # one side object per distinct side value of each split, the
+        # mirror split included: at g = 2000, 10002 FactorSpace
+        # constructions for 8002 strata
+        built = []
+        init = FactorSpace.__post_init__
+
+        def counting(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(FactorSpace, "__post_init__", counting)
+        found = enumerate_codim1(g)
+        distinct = {(s.j, side) for s in found
+                    for side in (s.side1, s.side2)}
+        assert len(built) == len(distinct)
+        if g == 2000:
+            assert (len(found), len(built)) == (8002, 10002)
+
+    def test_family_counts_closed_form(self):
+        """The number of strata in each (node profile, side 1 connected,
+        side 2 connected) family, derived by hand from the family rules.
+
+        Side 1 carries j of the b = 2g + 4 branch points and side 2 the
+        other b - j, with g + 2 <= j <= 2g + 2.  A degree-k component over
+        a node point of contribution c has 2g' - 2 = -2k + j + c, so a
+        side exists only when j + c is even: j is even for (3) and
+        (1,1,1) and odd for (2,1), and as b is even both sides agree.
+        g' >= 0 and stability (at least two branch points) bound each side
+        from below: a connected side needs j >= 2, 3, 4 for (3), (2,1),
+        (1,1,1); a split side needs j >= 3 for (2),(1) (odd, g' >= 0,
+        stable) and j >= 2 for (1,1),(1).  Two split sides over (2,1)
+        give a disconnected curve.  At the mirror split j = b - j = g + 2
+        only s1 <= s2 is kept, and a connected side sorts first, so
+        (F, T) is dropped there.  Counting the allowed j in each family,
+        with h = g // 2 and c = g - h:
+
+        - (3), T, T: even j in [g + 2, 2g + 2]: c for odd g, h + 1 even.
+        - (2,1): odd j in [g + 2, 2g + 1] (side 2 needs 3): c for odd g,
+          h for even g; (F, T) loses the mirror split j = g + 2 when g is
+          odd, so it is h for every g.
+        - (1,1,1), T, T: even j in [g + 2, 2g] (side 2 needs 4): h.
+        - (1,1,1), T, F: even j in [max(g + 2, 4), 2g + 2] (side 1
+          needs 4): c for odd g, h + 1 for even g >= 2, 0 at g = 0.
+        - (1,1,1), F, F: even j in [g + 2, 2g + 2]: c for odd g, h + 1
+          for even g.
+        - (1,1,1), F, T: even j in [g + 2, 2g] less the mirror split
+          when g is even: h for odd g, h - 1 for even g >= 2, 0 at g = 0.
+
+        The total is 4g + 2 - (g mod 2).
+        """
+        for g in (*range(401), 997, 1999, 2000, 10**4):
+            h, c = g // 2, g - g // 2
+            if g % 2:
+                want = {((3,), True, True): c,
+                        ((2, 1), True, True): c, ((2, 1), True, False): c,
+                        ((2, 1), False, True): h,
+                        ((1, 1, 1), True, True): h,
+                        ((1, 1, 1), False, True): h,
+                        ((1, 1, 1), True, False): c,
+                        ((1, 1, 1), False, False): c}
+            else:
+                want = {((3,), True, True): h + 1,
+                        ((2, 1), True, True): h, ((2, 1), True, False): h,
+                        ((2, 1), False, True): h,
+                        ((1, 1, 1), True, True): h,
+                        ((1, 1, 1), True, False): h + 1 if g else 0,
+                        ((1, 1, 1), False, True): h - 1 if g else 0,
+                        ((1, 1, 1), False, False): h + 1}
+            want = {key: n for key, n in want.items() if n}
+            got = {}
+            found = enumerate_codim1(g)
+            for s in found:
+                key = (s.node_profile, s.side1.connected, s.side2.connected)
+                got[key] = got.get(key, 0) + 1
+            assert got == want, g
+            assert len(found) == 4 * g + 2 - g % 2, g
 
     def test_double_split_simple_node_excluded(self):
         # a (2,1) node with both sides split disconnects the cover
@@ -214,6 +296,13 @@ class TestEnumeration:
 class TestOracle:
     @pytest.mark.parametrize("g", range(0, 31))
     def test_agrees(self, g):
+        assert oracle_enumerate(g) == enumerate_codim1(g)
+
+    @pytest.mark.parametrize("g", [60, 120])
+    def test_agrees_past_cli_cap(self, g, monkeypatch):
+        # the cap guards the CLI against the quadratic search; tests may
+        # lift it
+        monkeypatch.setattr(chowkit.strata, "_ORACLE_GENUS_CAP", 120)
         assert oracle_enumerate(g) == enumerate_codim1(g)
 
     def test_guard(self):
@@ -236,6 +325,12 @@ class TestFactorIdentity:
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(FactorSpace)] == \
             ["degrees", "genera", "profiles"]
+
+    def test_display_is_cached_derived_data(self):
+        f = H([2, 1], [3, 0], [(2,), (1,)])
+        assert f.display == format_factor(f) == "H(2,1;3,0;(2),(1))"
+        assert f.display is f.display
+        assert f == H([2, 1], [3, 0], [(2,), (1,)])
 
     def test_replace_rederives(self):
         f = dataclasses.replace(H([3], [2], [(2, 1)]), genera=(5,))
