@@ -13,10 +13,11 @@ report writer reproduces json.dumps(indent=2, ensure_ascii=False) byte
 for byte and accepts only dict (with str keys), list, str, int, bool and
 None, plus a _Json fragment: text the writer already produced, which it
 re-indents in place; anything else, floats included, raises TypeError.
-The strata report is written straight from the stratum descriptors: each
-side's display string is derived once per side object, in text and JSON
-alike, and its JSON block is rendered once per report.  A genus is read
-as ASCII decimal digits only.
+The strata report is written straight from the stratum descriptors: a
+side's display string is filled in from its shape's template when the
+side is built, and its JSON block is its shape's block, rendered once per
+report, with its genera filled in.  A genus, and the jet splitting
+degrees, are read as ASCII decimal digits only.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from json.encoder import encode_basestring
 from . import __version__
 from .bundles import JetPoint, in_locus_B, jet_rank
 from .spaces import _truncation_from_env
-from .strata import enumerate_codim1, format_stratum, oracle_enumerate
+from .strata import (FACTOR_SHAPES, enumerate_codim1, format_stratum,
+                     oracle_enumerate)
 from .verify import (LemmaId, StageFailure, TruncationTooLow,
                      triviality_check, verify_relation)
 
@@ -135,13 +137,18 @@ def _chain_payload(chain):
     return {stage: value.canonical() for stage, value in chain.stages()}
 
 
-def _factor_payload(factor):
-    return {
-        "degrees": list(factor.degrees),
-        "genera": list(factor.genera),
-        "profiles": [list(p) for p in factor.profiles],
-        "display": factor.display,
-    }
+def _side_blocks():
+    """Each factor shape's side JSON block at indent 4, with %d for each
+    genus, once in genera and once in the display."""
+    blocks = {}
+    for (degrees, profiles), shape in FACTOR_SHAPES.items():
+        blocks[degrees, profiles] = _json_text({
+            "degrees": list(degrees),
+            "genera": [_Json("%d")] * len(degrees),
+            "profiles": [list(p) for p in profiles],
+            "display": shape.template,
+        }, "    ")
+    return blocks
 
 
 def _strata_json(strata):
@@ -149,18 +156,15 @@ def _strata_json(strata):
     stratum payloads (keys j, node-profile, side1, side2, quotient,
     display).
 
-    Many strata share a side object, so each side's JSON block is
-    rendered once, keyed by id: strata keeps every side alive for the
-    whole call.
+    A side's JSON block is its shape's block with its genera filled in.
+    Apart from the genera a block holds only its shape's fixed keys,
+    degrees, profiles and template, so it has no other %.
     """
-    sides = {}
+    blocks = _side_blocks()
 
     def side_json(side):
-        block = sides.get(id(side))
-        if block is None:
-            block = sides[id(side)] = _json_text(_factor_payload(side),
-                                                 "    ")
-        return block
+        return blocks[side.degrees, side.profiles] % (side.genera
+                                                      + side.genera)
 
     profiles = {p: _json_text(list(p), "    ")
                 for p in {s.node_profile for s in strata}}
@@ -183,7 +187,8 @@ def parse_genus(text):
     """A genus written in ASCII decimal digits, spaces around allowed.
 
     int() alone would also read a sign, underscores ('1_0') and non-ASCII
-    digits ('\u0663'), so those are refused here.
+    digits ('\u0663'), so those are refused here.  The jet splitting
+    degrees m and n are read the same way.
     """
     digits = text.strip()
     if not (digits.isascii() and digits.isdigit()):
@@ -365,10 +370,13 @@ def cmd_jet(args):
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.m < 0:
-        print("the splitting needs 0 <= m <= n", file=sys.stderr)
+    try:
+        m, n = parse_genus(args.m), parse_genus(args.n)
+    except ValueError:
+        print(f"the splitting needs 0 <= m <= n in ASCII digits, got "
+              f"m = {args.m!r}, n = {args.n!r}", file=sys.stderr)
         return 2
-    if args.m > args.n:
+    if m > n:
         print("normalize the splitting so m <= n", file=sys.stderr)
         return 2
     if args.p_directrix:
@@ -379,9 +387,9 @@ def cmd_jet(args):
         q = JetPoint(x=Fraction(1), jets=jets_q, on_directrix=True)
     else:
         q = JetPoint(x=Fraction(1), jets=jets_q)
-    (rows, cols), rank = jet_rank(args.m, args.n, (p, q))
-    locus = "inside" if in_locus_B(args.m, args.n) else "outside"
-    print(f"splitting (m, n) = ({args.m}, {args.n}), {locus} the "
+    (rows, cols), rank = jet_rank(m, n, (p, q))
+    locus = "inside" if in_locus_B(m, n) else "outside"
+    print(f"splitting (m, n) = ({m}, {n}), {locus} the "
           "globally generated locus")
     print(f"matrix {rows}x{cols}, rank {rank}")
     return 0
@@ -426,8 +434,8 @@ def build_parser():
 
     p_jet = sub.add_parser(
         "jet", help="rank of a fiberwise jet-evaluation matrix")
-    p_jet.add_argument("--m", type=int, required=True)
-    p_jet.add_argument("--n", type=int, required=True)
+    p_jet.add_argument("--m", required=True)
+    p_jet.add_argument("--n", required=True)
     p_jet.add_argument("--rows", default="3p3q",
                        help="jets per point, e.g. 3p3q or 1p1q")
     p_jet.add_argument("--p-directrix", action="store_true",

@@ -18,15 +18,17 @@ generate it in canonical (sort_key) order, with one side object per
 distinct side of each split; oracle_enumerate rediscovers it by brute
 force (all degree shapes, all profile-part distributions, all genera,
 connectivity by trying every node-slot matching) for cross-checking.
-A side's display string is derived once per object, so a report that
-shows a shared side many times renders it once.
+Only five side shapes occur, and FACTOR_SHAPES holds each one's node
+profile, Riemann-Hurwitz offsets and display template: a side is checked
+by one lookup of its shape plus its genera, and its display string is
+filled in from the template when the side is built.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 _NODE_PROFILES = ((3,), (2, 1), (1, 1, 1))
 _QUOTIENTS = ("trivial", "Z2", "S3", "S3xZ2")
@@ -52,39 +54,70 @@ def rh_genus(j, k, contribution):
     return twice // 2
 
 
+class FactorShape(NamedTuple):
+    """What a side's degrees and profiles fix, whatever its genera."""
+
+    node_profile: tuple
+    #: per component, needs = 2 * genus + offset: Riemann-Hurwitz,
+    #: 2*g - 2 = -2*k + needs + sum(p - 1) with sum(p - 1) = k - len(prof)
+    offsets: tuple
+    #: the display string with %d for each genus
+    template: str
+    family: str
+    #: the least genus of the first component among admissible sides
+    lower_genus: int
+
+
+#: the five side shapes, keyed by (degrees, profiles): a connected
+#: degree-3 cover over each node profile, and a degree-2 cover plus a
+#: genus-0 degree-1 leg over (2,1) and (1,1,1)
+FACTOR_SHAPES = {
+    ((3,), ((3,),)): FactorShape(
+        (3,), (2,), "H(3;%d;(3))", "connected, triple point", 0),
+    ((3,), ((2, 1),)): FactorShape(
+        (2, 1), (3,), "H(3;%d;(2,1))", "connected, simple node point", 0),
+    ((3,), ((1, 1, 1),)): FactorShape(
+        (1, 1, 1), (4,), "H(3;%d;(1,1,1))", "connected, unramified point",
+        0),
+    ((2, 1), ((2,), (1,))): FactorShape(
+        (2, 1), (1, 0), "H(2,1;%d,%d;(2),(1))",
+        "split, ramified double cover", 1),
+    ((2, 1), ((1, 1), (1,))): FactorShape(
+        (1, 1, 1), (2, 0), "H(2,1;%d,%d;(1,1),(1))",
+        "split, unramified double cover", 0),
+}
+
+
 @dataclass(frozen=True)
 class FactorSpace:
-    """One side of a stratum: components with genera and node profiles."""
+    """One side of a stratum: components with genera and node profiles.
+
+    The fields are tuples, each profile a tuple too, so that sides hash.
+    """
 
     degrees: tuple
     genera: tuple
     profiles: tuple
 
     def __post_init__(self):
-        if self.degrees not in ((3,), (2, 1)):
-            raise ValueError(f"degrees must be (3,) or (2,1), "
-                             f"got {self.degrees}")
-        if not (len(self.degrees) == len(self.genera) == len(self.profiles)):
+        try:
+            shape = FACTOR_SHAPES[self.degrees, self.profiles]
+        except (KeyError, TypeError):  # a list in place of a tuple
+            raise ValueError(f"no factor shape has degrees {self.degrees!r} "
+                             f"and profiles {self.profiles!r}") from None
+        genera = self.genera
+        if type(genera) is not tuple or len(genera) != len(shape.offsets):
             raise ValueError("degrees, genera, profiles must align")
-        needs = []
-        for k, gi, prof in zip(self.degrees, self.genera, self.profiles):
-            if gi < 0:
-                raise ValueError("negative genus")
-            if tuple(sorted(prof, reverse=True)) != tuple(prof) \
-                    or sum(prof) != k or any(p < 1 for p in prof):
-                raise ValueError(f"profile {prof} is not a sorted "
-                                 f"partition of {k}")
-            if k == 1 and gi != 0:
-                raise ValueError("a degree-1 component must have genus 0")
-            # Riemann-Hurwitz, 2*gi - 2 = -2*k + needs + contribution,
-            # where the node contributes sum(p - 1) = k - len(prof)
-            needs.append(2 * gi - 2 + k + len(prof))
+        if min(genera) < 0:
+            raise ValueError("negative genus")
+        if len(genera) == 2 and genera[1]:  # a split side's second leg
+            raise ValueError("a degree-1 component must have genus 0")
         # derived once; plain attributes, not fields, so eq, hash and
         # sort_key still see only the three fields
-        merged = [p for prof in self.profiles for p in prof]
-        object.__setattr__(self, "node_profile",
-                           tuple(sorted(merged, reverse=True)))
-        object.__setattr__(self, "_branch_needs", tuple(needs))
+        object.__setattr__(self, "node_profile", shape.node_profile)
+        object.__setattr__(self, "_branch_needs", tuple(
+            [2 * gi + off for gi, off in zip(genera, shape.offsets)]))
+        object.__setattr__(self, "display", shape.template % genera)
 
     @property
     def connected(self):
@@ -93,11 +126,6 @@ class FactorSpace:
     @property
     def arithmetic_genus(self):
         return sum(self.genera) - (len(self.degrees) - 1)
-
-    @cached_property
-    def display(self):
-        """format_factor(self), derived once: many strata share a side."""
-        return format_factor(self)
 
     def branch_needs(self):
         """Per-component simple branch counts forced by Riemann-Hurwitz."""
@@ -338,12 +366,8 @@ def oracle_enumerate(g):
 #: (label, lower genus bound) keyed by (connected, profile of the big
 #: component); every admissible factor space matches exactly one entry
 FACTOR_FAMILIES = {
-    (True, (3,)): ("connected, triple point", 0),
-    (True, (2, 1)): ("connected, simple node point", 0),
-    (True, (1, 1, 1)): ("connected, unramified point", 0),
-    (False, (2,)): ("split, ramified double cover", 1),
-    (False, (1, 1)): ("split, unramified double cover", 0),
-}
+    (len(degrees) == 1, profiles[0]): (shape.family, shape.lower_genus)
+    for (degrees, profiles), shape in FACTOR_SHAPES.items()}
 
 
 def classify_factor(factor, genus_total):
@@ -363,11 +387,7 @@ def classify_factor(factor, genus_total):
 
 
 def format_factor(factor):
-    degrees = ",".join(str(k) for k in factor.degrees)
-    genera = ",".join(str(gi) for gi in factor.genera)
-    profiles = ",".join("(" + ",".join(str(p) for p in prof) + ")"
-                        for prof in factor.profiles)
-    return f"H({degrees};{genera};{profiles})"
+    return factor.display
 
 
 def format_stratum(stratum):

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 import chowkit
 from chowkit.cli import (_REPORT_FIELDS, Report, _empty_report, _Json,
                          _json_text, _strata_json, main, parse_g_spec)
-from chowkit.strata import enumerate_codim1, format_factor, format_stratum
+from chowkit.strata import enumerate_codim1, format_stratum
 
 
 def run(capsys, *argv):
@@ -200,7 +200,8 @@ class TestStrataCommand:
 
     def test_json_renders_each_side_once(self, capsys, monkeypatch):
         # g = 2000: 8002 strata over 10002 distinct side objects, in both
-        # report formats; format_factor is called only from chowkit.strata
+        # report formats; a side's display is filled in from its shape's
+        # template when it is built, so format_factor is never called
         counts = dict.fromkeys(("format_factor", "format_stratum"), 0)
 
         def counting(name, fn):
@@ -219,7 +220,7 @@ class TestStrataCommand:
             code, _, _ = run(capsys, "strata", "--g", "2000", "--format", fmt)
             assert code == 0
             assert counts["format_stratum"] == 8002, fmt
-            assert counts["format_factor"] <= 10002, fmt
+            assert counts["format_factor"] == 0, fmt
 
     def test_negative_genus_exits_2(self, capsys):
         code, _, err = run(capsys, "strata", "--g", "-1")
@@ -255,13 +256,30 @@ _JSON_VALUES = st.recursive(
 _PADS = st.text(alphabet=" ", max_size=8)
 
 
+def reference_display(factor):
+    """A side's display string built from its fields, independent of the
+    shape templates that FactorSpace fills in."""
+    degrees = ",".join(str(k) for k in factor.degrees)
+    genera = ",".join(str(gi) for gi in factor.genera)
+    profiles = ",".join("(" + ",".join(str(p) for p in prof) + ")"
+                        for prof in factor.profiles)
+    return f"H({degrees};{genera};{profiles})"
+
+
 def _side_payload(factor):
     return {
         "degrees": list(factor.degrees),
         "genera": list(factor.genera),
         "profiles": [list(p) for p in factor.profiles],
-        "display": format_factor(factor),
+        "display": reference_display(factor),
     }
+
+
+def test_display_matches_reference():
+    for g in (*range(401), 2000):
+        for s in enumerate_codim1(g):
+            for side in (s.side1, s.side2):
+                assert side.display == reference_display(side), g
 
 
 def _stratum_payload(stratum):
@@ -502,6 +520,20 @@ class TestJetCommand:
         assert code == 2
         assert out == ""
         assert "0 <= m <= n" in err
+
+    @pytest.mark.parametrize("m, n", [("\u0663", "4"), ("2", "1_0"),
+                                      ("+2", "4"), ("2", "4.0"),
+                                      ("", "4"), ("2", "\uff14")],
+                             ids=["arabic-indic-3", "underscore", "plus",
+                                  "decimal-point", "empty", "fullwidth-4"])
+    def test_splitting_in_ascii_digits(self, capsys, m, n):
+        # read like a genus: int() alone would run '\u0663' as 3 and
+        # '1_0' as 10
+        code, out, err = run(capsys, "jet", "--m", m, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "0 <= m <= n in ASCII digits" in err
+        assert "Traceback" not in err
 
 
 class TestGenusInput:

@@ -8,9 +8,12 @@ on it; a generic fiber coordinate is an indeterminate, so ranks are exact.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from chowkit import linalg
 from chowkit.bundles import (JetPoint, SplittingType, in_locus_B, jet_matrix,
                              jet_rank, p1_cohomology, splitting_sym3)
+from chowkit.ring import G, ParamPoly
 
 F = Fraction
 
@@ -106,3 +109,38 @@ def test_jet_rank_default_points():
     shape, rank = jet_rank(3, 3)
     assert shape == (6, 16)
     assert rank == 6
+
+
+def test_rank_eliminates_distinct_columns_only(monkeypatch):
+    # the 6 x 9604 jet matrix at (1600, 3200) has 7 distinct columns
+    widths = []
+    eliminate = linalg._eliminate
+
+    def spy(rows, usable):
+        widths.append(len(rows[0]))
+        return eliminate(rows, usable)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    assert jet_rank(1600, 3200) == ((6, 9604), 6)
+    assert len(widths) == 1 and widths[0] <= 7
+
+
+_ENTRIES = st.sampled_from([0, 1, -1, 2, F(1, 2), F(-3, 2), ParamPoly(),
+                            G, G + 1, G * G - 2])
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda ncols: st.tuples(
+        st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols),
+                 min_size=1, max_size=4),
+        st.lists(st.integers(min_value=0, max_value=ncols - 1),
+                 max_size=6).flatmap(
+            lambda extra: st.permutations(list(range(ncols)) + extra)))))
+def test_rank_unchanged_by_repeated_or_permuted_columns(case):
+    # every column kept at least once, some repeated, in any order: the
+    # rank of every elimination is that of the matrix as given
+    rows, order = case
+    shuffled = [[row[c] for c in order] for row in rows]
+    want = linalg._eliminate(rows, bool)[0]
+    assert linalg.rank_fraction(rows) == want
+    assert linalg.rank_fraction(shuffled) == want

@@ -5,7 +5,7 @@ cross-check."""
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import chowkit.strata
 from chowkit.strata import (FACTOR_FAMILIES, FactorSpace, StratumDescriptor,
@@ -52,6 +52,85 @@ class TestFactorSpace:
         g = H([2, 1], [1, 0], [(2,), (1,)])
         assert g.branch_needs() == (3, 0)
         assert stability_value(g) == 3
+
+
+def old_factor_rules(degrees, genera, profiles):
+    """(branch needs, node profile) under the per-component rules the
+    shape table replaced, or None where they refuse the side.
+
+    The first rule is the one the rules left implicit: the fields, and
+    each profile, are tuples, so that a side hashes.
+    """
+    if not (type(degrees) is type(genera) is type(profiles) is tuple
+            and all(type(prof) is tuple for prof in profiles)):
+        return None
+    if degrees not in ((3,), (2, 1)):
+        return None
+    if not len(degrees) == len(genera) == len(profiles):
+        return None
+    needs = []
+    for k, gi, prof in zip(degrees, genera, profiles):
+        if gi < 0:
+            return None
+        if tuple(sorted(prof, reverse=True)) != prof or sum(prof) != k \
+                or any(p < 1 for p in prof):
+            return None
+        if k == 1 and gi != 0:
+            return None
+        needs.append(2 * gi - 2 + k + len(prof))
+    merged = [p for prof in profiles for p in prof]
+    return tuple(needs), tuple(sorted(merged, reverse=True))
+
+
+_SMALL = st.integers(min_value=-1, max_value=3)
+
+
+def _tuple_or_list(elements):
+    return (st.lists(elements, max_size=3).map(tuple)
+            | st.lists(elements, max_size=3))
+
+
+_PROFILE = st.sampled_from([(3,), (2, 1), (1, 1, 1), (2,), (1, 1), (1,),
+                            (1, 2), (0, 3), (), [2, 1], [1]]) \
+    | _tuple_or_list(_SMALL)
+
+
+class TestShapeTable:
+    """FactorSpace checks a side by one lookup of its shape; it must accept
+    exactly the sides the per-component rules accept, and derive the same
+    data from them."""
+
+    @settings(max_examples=1500)
+    @given(st.sampled_from([(3,), (2, 1), (1, 2), (2,), (1,), (), [3],
+                            [2, 1]]) | _tuple_or_list(_SMALL),
+           _tuple_or_list(_SMALL), _tuple_or_list(_PROFILE))
+    @example((3,), (0,), ((3,),))
+    @example((3,), (2,), ((2, 1),))
+    @example((3,), (1,), ((1, 1, 1),))
+    @example((2, 1), (1, 0), ((2,), (1,)))
+    @example((2, 1), (0, 0), ((1, 1), (1,)))
+    @example((2, 1), [1, 0], ((2,), (1,)))
+    @example((3,), (2,), ([2, 1],))
+    @example((2, 1), (1, 1), ((2,), (1,)))
+    def test_accepts_what_the_old_rules_accept(self, degrees, genera,
+                                               profiles):
+        want = old_factor_rules(degrees, genera, profiles)
+        try:
+            f = FactorSpace(degrees, genera, profiles)
+        except ValueError:   # a TypeError fails the test
+            assert want is None
+            return
+        assert want == (f.branch_needs(), f.node_profile)
+
+    def test_five_shapes_back_the_families(self):
+        assert len(chowkit.strata.FACTOR_SHAPES) == 5
+        assert FACTOR_FAMILIES == {
+            (True, (3,)): ("connected, triple point", 0),
+            (True, (2, 1)): ("connected, simple node point", 0),
+            (True, (1, 1, 1)): ("connected, unramified point", 0),
+            (False, (2,)): ("split, ramified double cover", 1),
+            (False, (1, 1)): ("split, unramified double cover", 0),
+        }
 
 
 class TestRiemannHurwitz:
