@@ -16,8 +16,8 @@ re-indents in place; anything else, floats included, raises TypeError.
 The strata report is written straight from the stratum descriptors: a
 side's display string is filled in from its shape's template when the
 side is built, and its JSON block is its shape's block, rendered once per
-report, with its genera filled in.  A genus, and the jet splitting
-degrees, are read as ASCII decimal digits only.
+report, with its genera filled in.  A genus, the jet splitting degrees
+and the jet counts of a row spec are read as ASCII decimal digits only.
 """
 
 from __future__ import annotations
@@ -356,7 +356,8 @@ def _parse_rows_spec(text):
     if probe is None or not rest.endswith("q"):
         raise ValueError(f"row spec {text!r} not of the form <n>p<m>q")
     jets_q = rest[:-1]
-    if not probe.isdigit() or not jets_q.isdigit():
+    if not ((probe + jets_q).isascii() and probe.isdigit()
+            and jets_q.isdigit()):
         raise ValueError(f"row spec {text!r} needs integer jet counts")
     jp, jq = int(probe), int(jets_q)
     if jp < 1 or jq < 1:

@@ -55,10 +55,10 @@ def _truncation_from_env():
     raw = os.environ.get("CHOWKIT_TRUNCATION")
     if raw is None:
         return _DEFAULT_TRUNCATION
-    try:
-        value = int(raw)
-    except ValueError:
+    digits = raw.strip()
+    if not (digits.isascii() and digits.isdigit()):  # int() takes '+3', '1_0'
         raise ValueError(f"CHOWKIT_TRUNCATION must be an integer, got {raw!r}")
+    value = int(digits)
     if value < 1:
         raise ValueError("CHOWKIT_TRUNCATION must be positive")
     return value

@@ -13,15 +13,16 @@ Descriptors are canonicalized with side 1 the larger-j side; at j = b-j
 the mirror pair collapses to one stratum with sides sorted.  The gluing
 quotient group is looked up from the configuration shapes.
 
-enumerate_codim1 builds the list from the closed-form family rules, which
-generate it in canonical (sort_key) order, with one side object per
-distinct side of each split; oracle_enumerate rediscovers it by brute
-force (all degree shapes, all profile-part distributions, all genera,
-connectivity by trying every node-slot matching) for cross-checking.
 Only five side shapes occur, and FACTOR_SHAPES holds each one's node
 profile, Riemann-Hurwitz offsets and display template: a side is checked
 by one lookup of its shape plus its genera, and its display string is
-filled in from the template when the side is built.
+filled in from the template when the side is built.  enumerate_codim1
+reads the sides of each split straight off that table, solving for the
+principal genus, and generates the list in canonical (sort_key) order
+with one side object per distinct side of each split; oracle_enumerate
+rediscovers it by brute force (all degree shapes, all profile-part
+distributions, all genera, connectivity by trying every node-slot
+matching) for cross-checking.
 """
 
 from __future__ import annotations
@@ -40,18 +41,6 @@ def branch_count(g):
     if g < 0:
         raise ValueError("genus must be nonnegative")
     return 2 * g + 4
-
-
-def rh_genus(j, k, contribution):
-    """Genus from 2g' - 2 = -2k + j + contribution, or None.
-
-    j counts the simple branch points carried by the component, k is its
-    degree, contribution the ramification it contributes over the node.
-    """
-    twice = -2 * k + j + contribution + 2
-    if twice < 0 or twice % 2:
-        return None
-    return twice // 2
 
 
 class FactorShape(NamedTuple):
@@ -194,25 +183,28 @@ def quotient_group(node_profile, side1, side2):
     raise ValueError(f"unknown node profile {node_profile}")
 
 
-def _contribution(profile):
-    return sum(p - 1 for p in profile)
+#: per node profile, its shapes in FACTOR_SHAPES order with the sum of
+#: their offsets
+_SHAPES_OVER = {
+    node: [(degrees, profiles, sum(shape.offsets))
+           for (degrees, profiles), shape in FACTOR_SHAPES.items()
+           if shape.node_profile == node]
+    for node in _NODE_PROFILES}
 
 
 def _side_configs(profile, j_side):
-    """Admissible FactorSpaces carrying j_side branch points, family rules."""
+    """The sides over profile carrying j_side branch points, one per shape
+    in FACTOR_SHAPES order (connected first) whose principal genus g
+    solves 2 * g + sum(offsets) = j_side in nonnegative integers; the
+    degree-1 leg has genus 0.  Every side carries j_side >= 2 points, so
+    each is stable."""
     out = []
-    g_conn = rh_genus(j_side, 3, _contribution(profile))
-    if g_conn is not None:
-        out.append(FactorSpace((3,), (g_conn,), (tuple(profile),)))
-    if profile == (2, 1):
-        g_two = rh_genus(j_side, 2, 1)
-        if g_two is not None:
-            out.append(FactorSpace((2, 1), (g_two, 0), ((2,), (1,))))
-    elif profile == (1, 1, 1):
-        g_two = rh_genus(j_side, 2, 0)
-        if g_two is not None:
-            out.append(FactorSpace((2, 1), (g_two, 0), ((1, 1), (1,))))
-    return [f for f in out if stability_value(f) >= 2]
+    for degrees, profiles, offset in _SHAPES_OVER[profile]:
+        twice = j_side - offset
+        if twice >= 0 and not twice % 2:
+            genera = (twice // 2,) + (0,) * (len(degrees) - 1)
+            out.append(FactorSpace(degrees, genera, profiles))
+    return out
 
 
 def _glues_connected(profile, side1, side2):
@@ -242,8 +234,8 @@ def _strata_for_split(g, j):
     mirror = 2 * j == b
     out = []
     for profile in _NODE_PROFILES:
-        if (j + _contribution(profile)) % 2:
-            continue
+        # the offsets over one profile share a parity, and b - j has the
+        # parity of j, so a wrong-parity profile yields no sides
         side2_configs = _side_configs(profile, b - j)
         for s1 in side2_configs if mirror else _side_configs(profile, j):
             for s2 in side2_configs:
@@ -372,22 +364,15 @@ FACTOR_FAMILIES = {
 
 def classify_factor(factor, genus_total):
     """(family label, principal genus) with the family's bounds enforced."""
-    key = (factor.connected, factor.profiles[0])
-    if key not in FACTOR_FAMILIES:
-        raise ValueError(f"factor {factor} matches no family")
-    label, lower = FACTOR_FAMILIES[key]
+    shape = FACTOR_SHAPES[factor.degrees, factor.profiles]
     principal = factor.genera[0]
-    if not lower <= principal <= genus_total:
-        raise ValueError(f"genus {principal} outside [{lower}, "
-                         f"{genus_total}] for family {label!r}")
-    return label, principal
+    if not shape.lower_genus <= principal <= genus_total:
+        raise ValueError(f"genus {principal} outside [{shape.lower_genus}, "
+                         f"{genus_total}] for family {shape.family!r}")
+    return shape.family, principal
 
 
 # -- formatting --
-
-
-def format_factor(factor):
-    return factor.display
 
 
 def format_stratum(stratum):

@@ -1,6 +1,8 @@
 """Driver behavior: exit codes, text output, JSON stability, and the
 frozen report schema."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,18 +11,39 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import chowkit
 from chowkit.cli import (_REPORT_FIELDS, Report, _empty_report, _Json,
                          _json_text, _strata_json, main, parse_g_spec)
 from chowkit.strata import enumerate_codim1, format_stratum
+from chowkit.verify import LemmaId
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_same_text(got, want):
+    """got == want, reporting only the first line that differs.
+
+    On a failed == between two long strings pytest diffs them in full,
+    which takes minutes on the 6.5 MB report at g = 2000.
+    """
+    if got == want:
+        return
+    got_lines = got.splitlines(keepends=True)
+    want_lines = want.splitlines(keepends=True)
+    at = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines))
+               if a != b), min(len(got_lines), len(want_lines)))
+
+    def line(lines):
+        return repr(lines[at])[:200] if at < len(lines) else "end of text"
+
+    pytest.fail(f"texts differ first at line {at + 1}: got "
+                f"{line(got_lines)}, want {line(want_lines)}", pytrace=False)
 
 
 # -- a small validator for the draft-07 subset the schema uses --
@@ -201,8 +224,8 @@ class TestStrataCommand:
     def test_json_renders_each_side_once(self, capsys, monkeypatch):
         # g = 2000: 8002 strata over 10002 distinct side objects, in both
         # report formats; a side's display is filled in from its shape's
-        # template when it is built, so format_factor is never called
-        counts = dict.fromkeys(("format_factor", "format_stratum"), 0)
+        # template when it is built
+        counts = {"format_stratum": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -220,7 +243,6 @@ class TestStrataCommand:
             code, _, _ = run(capsys, "strata", "--g", "2000", "--format", fmt)
             assert code == 0
             assert counts["format_stratum"] == 8002, fmt
-            assert counts["format_factor"] == 0, fmt
 
     def test_negative_genus_exits_2(self, capsys):
         code, _, err = run(capsys, "strata", "--g", "-1")
@@ -317,9 +339,9 @@ class TestJsonWriter:
     @pytest.mark.parametrize("g", [*range(31), 2000])
     def test_strata_json_matches_reference(self, g):
         strata = enumerate_codim1(g)
-        assert _strata_json(strata) == json.dumps(
+        assert_same_text(_strata_json(strata), json.dumps(
             [_stratum_payload(s) for s in strata], indent=2,
-            ensure_ascii=False)
+            ensure_ascii=False))
 
     def test_large_strata_report_matches_stdlib(self):
         strata = enumerate_codim1(2000)
@@ -328,10 +350,11 @@ class TestJsonWriter:
         payload = {key: getattr(report, attr)
                    for key, attr in _REPORT_FIELDS}
         text = report.to_json()
-        assert text == json.dumps(payload, indent=2, ensure_ascii=False)
-        assert Report.from_json(text).to_json() == text
+        assert_same_text(text, json.dumps(payload, indent=2,
+                                          ensure_ascii=False))
+        assert_same_text(Report.from_json(text).to_json(), text)
         report.strata = {"strata": _strata_json(strata)}
-        assert report.to_json() == text
+        assert_same_text(report.to_json(), text)
 
     @pytest.mark.parametrize("bad", [1.5, (1, 2), {"a": [0.0]}, {1: 2},
                                      {"a": {1, 2}}])
@@ -456,7 +479,9 @@ class TestTruncationGuard:
         assert out.splitlines()[-1] == "overall: PASS"
 
 
-@pytest.mark.parametrize("truncation", ["abc", "0", "-1"])
+# int() alone would run the last four at truncation 3, 3, 10 and 3
+@pytest.mark.parametrize("truncation", ["abc", "0", "-1", "\u0663", "+3",
+                                        "1_0", "\uff13"])
 @pytest.mark.parametrize("argv", [
     ("verify", "--g", "symbolic"),
     ("verify", "--g", "0..2", "--format", "json"),
@@ -472,6 +497,13 @@ def test_bad_truncation_is_a_usage_error(capsys, monkeypatch, truncation,
     assert out == ""
     assert "CHOWKIT_TRUNCATION must be" in err
     assert "Traceback" not in err
+
+
+def test_truncation_spacing_still_accepted(capsys, monkeypatch):
+    monkeypatch.setenv("CHOWKIT_TRUNCATION", " 4 ")
+    code, out, _ = run(capsys, "verify", "--g", "1", "--lemma", "REL-3-TT")
+    assert code == 0
+    assert out.splitlines()[-1] == "overall: PASS"
 
 
 class TestJetCommand:
@@ -509,6 +541,17 @@ class TestJetCommand:
             code, _, err = run(capsys, "jet", "--m", "2", "--n", "4",
                                "--rows", bad)
             assert code == 2, bad
+
+    @pytest.mark.parametrize("rows", ["3p\u0663q", "3p\u00b2q"],
+                             ids=["arabic-indic-3", "superscript-2"])
+    def test_rows_in_ascii_digits(self, capsys, rows):
+        # both pass str.isdigit: int() ran '\u0663' as 3 and refused
+        # '\u00b2' with its own message
+        code, out, err = run(capsys, "jet", "--m", "2", "--n", "4",
+                             "--rows", rows)
+        assert code == 2
+        assert out == ""
+        assert f"row spec {rows!r} needs integer jet counts" in err
 
     def test_unnormalized_splitting_exits_2(self, capsys):
         code, _, err = run(capsys, "jet", "--m", "4", "--n", "2")
@@ -592,3 +635,109 @@ class TestParser:
             env=dict(os.environ, PYTHONPATH=path))
         assert out.returncode == 0
         assert out.stdout.strip().startswith("chowkit ")
+
+
+# -- the input contract, fuzzed --
+
+#: tokens no subcommand accepts where it asks for a value: non-ASCII
+#: digits, signs, underscores, floats, blanks, bad ranges and row specs,
+#: unknown lemma ids, flags in place of values
+_MALFORMED = st.sampled_from([
+    "\u0663", "\u00b2", "\uff13", "+3", "-1", "1_0", "3.0", "1e3", "", " ",
+    "0x3", "5..2", "0..", "..3", "0..1..2", "1,,2", "3p", "p3q", "3p\u0663q",
+    "3p\u00b2q", "0p3q", "3.5p2q", "REL-9", "rel-3-tt", "all2", "yaml",
+    "--bogus", "--g", "-h"])
+_SMALL_INT = st.integers(0, 12).map(str)
+_FORMAT = st.sampled_from(["text", "json"])
+
+#: per subcommand, each value flag with its small valid values and each
+#: bare flag with None
+_GRAMMAR = {
+    "verify": {
+        "--g": _SMALL_INT | st.sampled_from(
+            ["symbolic", "0..2", "1,3", " 2 ", "2..2", "0,0"]),
+        "--lemma": st.sampled_from(["all"] + [m.value for m in LemmaId]),
+        "--format": _FORMAT,
+    },
+    "strata": {
+        "--g": st.integers(0, 40).map(str) | st.just(" 3 "),
+        "--oracle": None,
+        "--format": _FORMAT,
+    },
+    "det": {"--format": _FORMAT},
+    "jet": {
+        "--m": _SMALL_INT,
+        "--n": _SMALL_INT,
+        "--rows": st.sampled_from(["3p3q", "1p1q", "2p1q", "1P3Q", " 3p3q"]),
+        "--p-directrix": None,
+        "--q-directrix": None,
+    },
+}
+_FLAGS = sorted({flag for flags in _GRAMMAR.values() for flag in flags})
+_REQUIRED = {("strata", "--g"), ("jet", "--m"), ("jet", "--n")}
+
+
+def _flat(parts):
+    return [token for part in parts for token in part]
+
+
+def _valid_args(command):
+    """Each flag of command with a valid value, or left out if optional."""
+    parts = []
+    for flag, values in _GRAMMAR[command].items():
+        present = (st.just([flag]) if values is None
+                   else values.map(lambda value, flag=flag: [flag, value]))
+        if (command, flag) not in _REQUIRED:
+            present |= st.just([])
+        parts.append(present)
+    return st.tuples(*parts).map(_flat)
+
+
+def _any_arg(command):
+    """One flag of any subcommand with a valid or malformed value, or a
+    bare malformed token."""
+    flags = _GRAMMAR[command]
+
+    def tokens(flag):
+        if flags.get(flag) is None:         # a bare or a foreign flag
+            return st.just([flag])
+        return st.tuples(st.just(flag), flags[flag] | _MALFORMED).map(list)
+
+    return (st.sampled_from(list(flags)).flatmap(tokens)
+            | st.sampled_from(_FLAGS).flatmap(tokens)
+            | _MALFORMED.map(lambda token: [token]))
+
+
+#: a valid command line with up to two arguments appended; argparse keeps
+#: the last value of a repeated flag, so an appended one can spoil it
+_ARGV = st.sampled_from(sorted(_GRAMMAR)).flatmap(
+    lambda command: st.tuples(
+        st.just([command]), _valid_args(command),
+        st.lists(_any_arg(command), max_size=2).map(_flat)).map(_flat))
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse: usage errors and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300)
+@given(_ARGV)
+def test_fuzzed_input_contract(argv):
+    """Any argv exits 0, 1 or 2 with no other exception, and a usage
+    error (exit 2) prints nothing on stdout.
+
+    Values are small on purpose.  In-range inputs that are slow by design
+    are left out: strata --g 10**9, verify --g 0..10**7 and large jet
+    splittings; bounding their cost is a separate gate.
+    """
+    code, out, err = _run_main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert out == "", argv

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 import chowkit.strata
 from chowkit.strata import (FACTOR_FAMILIES, FactorSpace, StratumDescriptor,
                             branch_count, classify_factor, enumerate_codim1,
-                            format_factor, format_stratum, oracle_enumerate,
-                            quotient_group, rh_genus, stability_value)
+                            format_stratum, oracle_enumerate, quotient_group,
+                            stability_value)
 
 
 def H(degrees, genera, profiles):
@@ -25,14 +25,14 @@ class TestFactorSpace:
         assert f.connected
         assert f.node_profile == (2, 1)
         assert f.arithmetic_genus == 2
-        assert format_factor(f) == "H(3;2;(2,1))"
+        assert f.display == "H(3;2;(2,1))"
 
     def test_split(self):
         f = H([2, 1], [3, 0], [(2,), (1,)])
         assert not f.connected
         assert f.node_profile == (2, 1)
         assert f.arithmetic_genus == 2
-        assert format_factor(f) == "H(2,1;3,0;(2),(1))"
+        assert f.display == "H(2,1;3,0;(2),(1))"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -134,15 +134,6 @@ class TestShapeTable:
 
 
 class TestRiemannHurwitz:
-    def test_rh_genus(self):
-        # 2g' - 2 = -2k + j + contribution
-        assert rh_genus(6, 3, 0) == 1
-        assert rh_genus(7, 3, 1) == 2
-        assert rh_genus(5, 3, 1) == 1
-        assert rh_genus(4, 3, 0) == 0
-        assert rh_genus(5, 3, 0) is None    # odd right side
-        assert rh_genus(2, 3, 0) is None    # negative genus
-
     def test_branch_count(self):
         assert branch_count(0) == 4
         assert branch_count(4) == 12
@@ -407,7 +398,7 @@ class TestFactorIdentity:
 
     def test_display_is_cached_derived_data(self):
         f = H([2, 1], [3, 0], [(2,), (1,)])
-        assert f.display == format_factor(f) == "H(2,1;3,0;(2),(1))"
+        assert f.display == "H(2,1;3,0;(2),(1))"
         assert f.display is f.display
         assert f == H([2, 1], [3, 0], [(2,), (1,)])
 
