@@ -8,7 +8,13 @@ some of them.  Normal forms are computed by a terminating rewrite system:
 every ruled generator appears with exponent at most 1 in a normal form.
 
 Coefficients are univariate polynomials in g with Fraction coefficients
-(ParamPoly).  No floats anywhere.
+(ParamPoly).  No floats anywhere.  A sum or product in which either
+polynomial has more than one coefficient runs on Python ints: each operand
+is read as integer numerators over the lcm of its denominators (kept with
+the polynomial once computed, and 1 for integer polynomials), the integer
+lists are added or convolved, and each result coefficient becomes a
+Fraction once.  Constants keep Fraction arithmetic, because converting
+one costs more than the Fraction operation it would replace.
 
 Every square rule is homogeneous (checked at construction), so a rewrite
 never changes the degree of a monomial.  A product of monomials of degrees
@@ -32,6 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _as_fraction(x):
@@ -45,13 +52,43 @@ def _as_fraction(x):
 class ParamPoly:
     """Polynomial in the parameter g over Q, dense little-endian tuple."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs=()):
         cs = [_as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._ints = None
+
+    def _integer_form(self):
+        """(numerators, d) with coeffs[i] == numerators[i] / d.
+
+        d is the lcm of the coefficients' (reduced) denominators.  Filled
+        on first use, or by _from_integers.
+        """
+        if self._ints is None:
+            d = lcm(*[c.denominator for c in self.coeffs])
+            self._ints = ([c.numerator * (d // c.denominator)
+                           for c in self.coeffs], d)
+        return self._ints
+
+    @classmethod
+    def _from_integers(cls, nums, d):
+        """The polynomial sum(nums[i] / d * g**i); consumes nums."""
+        while nums and not nums[-1]:
+            nums.pop()
+        out = cls.__new__(cls)
+        if d == 1:
+            out.coeffs = tuple(map(Fraction, nums))
+        else:
+            common = gcd(d, *nums)
+            if common != 1:
+                d //= common
+                nums = [n // common for n in nums]
+            out.coeffs = tuple(Fraction(n, d) for n in nums)
+        out._ints = (nums, d)
+        return out
 
     @classmethod
     def const(cls, c):
@@ -106,6 +143,17 @@ class ParamPoly:
         if not isinstance(other, (int, Fraction, ParamPoly)):
             return NotImplemented
         other = ParamPoly.coerce(other)
+        if len(self.coeffs) > 1 or len(other.coeffs) > 1:
+            a, da = self._integer_form()
+            b, db = other._integer_form()
+            d = lcm(da, db)
+            if len(a) < len(b):
+                a, da, b, db = b, db, a, da
+            sa, sb = d // da, d // db
+            out = [x * sa for x in a]
+            for i, y in enumerate(b):
+                out[i] += y * sb
+            return ParamPoly._from_integers(out, d)
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
         b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
@@ -129,6 +177,15 @@ class ParamPoly:
         other = ParamPoly.coerce(other)
         if not self.coeffs or not other.coeffs:
             return ParamPoly()
+        if len(self.coeffs) > 1 or len(other.coeffs) > 1:
+            a, da = self._integer_form()
+            b, db = other._integer_form()
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            return ParamPoly._from_integers(out, da * db)
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:

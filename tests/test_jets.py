@@ -6,6 +6,7 @@ on it; a generic fiber coordinate is an indeterminate, so ranks are exact.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -123,6 +124,64 @@ def test_rank_eliminates_distinct_columns_only(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", spy)
     assert jet_rank(1600, 3200) == ((6, 9604), 6)
     assert len(widths) == 1 and widths[0] <= 7
+
+
+def test_jet_build_multiplies_each_distinct_entry_once(monkeypatch):
+    # x = 0 and x = 1 repeat x**t along every block: one product per value.
+    # The build and the 6 x 7 elimination make 83 products, not one per
+    # polynomial entry (16 083) of the 6 x 9604 matrix.
+    calls = []
+    mul = ParamPoly.__mul__
+
+    def spy(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(ParamPoly, "__mul__", spy)
+    monkeypatch.setattr(ParamPoly, "__rmul__", spy)
+    assert jet_rank(1600, 3200) == ((6, 9604), 6)
+    assert len(calls) <= 100
+
+
+def _reference_jet_matrix(m, n, points):
+    """jet_matrix as first written: every entry multiplied on its own."""
+    blocks = [max(0, d + 1) for d in splitting_sym3(m, n)]
+    rows, free = [], 0
+    for pt in points:
+        y = pt.y
+        if not pt.on_directrix and y is None:
+            y = G ** (7 ** free)
+            free += 1
+        for k in range(pt.jets):
+            row = []
+            for bi, ncols in enumerate(blocks):
+                if pt.on_directrix:
+                    val = F(1) if bi == k else F(0)
+                elif k > 3 - bi:
+                    val = F(0)
+                else:
+                    val = comb(3 - bi, k) * y ** (3 - bi - k)
+                row.extend(val * pt.x ** t for t in range(ncols))
+            rows.append(row)
+    return rows
+
+
+_POINTS = st.lists(st.builds(
+    JetPoint, st.sampled_from([F(0), F(1), F(-1), F(2), F(-1, 2)]),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([None, F(0), F(3)])), min_size=1, max_size=3) | \
+    st.just((JetPoint(F(0), 2, on_directrix=True), JetPoint(F(-1), 3)))
+
+
+@given(st.integers(min_value=0, max_value=9), st.integers(min_value=0,
+       max_value=9), _POINTS)
+def test_jet_matrix_matches_entrywise_build(a, b, points):
+    m, n = min(a, b), max(a, b)
+    got = jet_matrix(m, n, points, same_fiber=True)
+    want = _reference_jet_matrix(m, n, points)
+    assert got == want
+    assert [[type(e) for e in row] for row in got] == \
+        [[type(e) for e in row] for row in want]
 
 
 _ENTRIES = st.sampled_from([0, 1, -1, 2, F(1, 2), F(-3, 2), ParamPoly(),

@@ -5,6 +5,7 @@ integer coefficients so products stay inside the truncation window.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -156,3 +157,91 @@ def test_mul_upto_keeps_low_graded_parts(ring, data, upto):
         if d <= upto:
             want = want + piece
     assert a.mul(b, upto=upto) == want
+
+
+# -- the integer kernel of ParamPoly sums and products --
+
+
+def _fraction_add(p, q):
+    """ParamPoly.__add__ before the integer kernel: Fraction by Fraction."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    a = p.coeffs + (Fraction(0),) * (n - len(p.coeffs))
+    b = q.coeffs + (Fraction(0),) * (n - len(q.coeffs))
+    return ParamPoly(tuple(x + y for x, y in zip(a, b)))
+
+
+def _fraction_mul(p, q):
+    """ParamPoly.__mul__ before the integer kernel: Fraction by Fraction."""
+    if not p.coeffs or not q.coeffs:
+        return ParamPoly()
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        if a == 0:
+            continue
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return ParamPoly(out)
+
+
+def _integer_form(coeffs):
+    """(numerators, lcm of the denominators), straight from the Fractions."""
+    d = 1
+    for c in coeffs:
+        d = d * c.denominator // gcd(d, c.denominator)
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+rationals = st.builds(Fraction,
+                      st.integers(min_value=-10**40, max_value=10**40),
+                      st.integers(min_value=1, max_value=12))
+
+
+@st.composite
+def rational_pairs(draw):
+    """Two polynomials of length 0-6; often the second cancels the first
+    in some of its coefficients, or in all of them."""
+    p = ParamPoly(draw(st.lists(rationals, max_size=6)))
+    q = ParamPoly(draw(st.lists(rationals, max_size=6)))
+    cancel = draw(st.lists(st.booleans(), min_size=len(p.coeffs),
+                           max_size=len(p.coeffs)))
+    if draw(st.booleans()):
+        cs = list(q.coeffs) + [Fraction(0)] * (len(p.coeffs) - len(q.coeffs))
+        for i, c in enumerate(p.coeffs):
+            if cancel[i]:
+                cs[i] = -c
+        q = ParamPoly(cs)
+    return p, q
+
+
+def _assert_normal(got, want):
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert not got.coeffs or got.coeffs[-1] != 0
+    if got._ints is not None:
+        assert got._ints == _integer_form(got.coeffs)
+    assert got._integer_form() == _integer_form(got.coeffs)
+
+
+@given(rational_pairs())
+def test_integer_kernel_matches_fraction_arithmetic(pair):
+    p, q = pair
+    _assert_normal(p + q, _fraction_add(p, q))
+    _assert_normal(p - q, _fraction_add(p, ParamPoly(-c for c in q.coeffs)))
+    _assert_normal(p * q, _fraction_mul(p, q))
+    # a second use reads the stored integer forms of the operands
+    _assert_normal((p * q) * p, _fraction_mul(_fraction_mul(p, q), p))
+    _assert_normal((p + q) + q, _fraction_add(_fraction_add(p, q), q))
+
+
+def test_constant_arithmetic_bypasses_the_kernel(monkeypatch):
+    def spy(self):
+        raise AssertionError("constant arithmetic entered the integer kernel")
+
+    monkeypatch.setattr(ParamPoly, "_integer_form", spy)
+    for a in (ParamPoly(), ParamPoly.const(Fraction(3, 4)), ParamPoly.const(-5)):
+        for b in (ParamPoly(), ParamPoly.const(Fraction(-3, 4)), 7, Fraction(1, 6)):
+            assert (a + b).coeffs == _fraction_add(a, ParamPoly.coerce(b)).coeffs
+            assert (a * b).coeffs == _fraction_mul(a, ParamPoly.coerce(b)).coeffs
+            assert (a - b) + b == a
+    with pytest.raises(AssertionError, match="integer kernel"):
+        G + 1
