@@ -257,13 +257,7 @@ def jet_matrix(m, n, points, same_fiber=False):
         if not pt.on_directrix and y is None:
             y = G ** (7 ** free)
             free += 1
-        # x**t repeats when x is 0 or +-1.  slot[t] numbers the distinct
-        # powers in order of first appearance, so a block multiplies each
-        # distinct power it uses once, and reads its row off by slot.
-        first = {}
-        slot = [first.setdefault(pt.x ** t, len(first))
-                for t in range(max(blocks))]
-        distinct = list(first)
+        powers = [pt.x ** t for t in range(max(blocks))]
         for k in range(pt.jets):
             row = []
             for bi, ncols in enumerate(blocks):
@@ -277,10 +271,10 @@ def jet_matrix(m, n, points, same_fiber=False):
                         val = Fraction(0)
                     else:
                         val = comb(p, k) * y ** (p - k)
-                used = slot[:ncols]
-                scaled = [val * v
-                          for v in distinct[:max(used, default=-1) + 1]]
-                row.extend([scaled[i] for i in used])
+                # x**t repeats when x is 0 or +-1: one product per value.
+                block = powers[:ncols]
+                scaled = {v: val * v for v in set(block)}
+                row.extend(map(scaled.__getitem__, block))
             rows.append(row)
     return rows
 

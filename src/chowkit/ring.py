@@ -13,8 +13,12 @@ polynomial has more than one coefficient runs on Python ints: each operand
 is read as integer numerators over the lcm of its denominators (kept with
 the polynomial once computed, and 1 for integer polynomials), the integer
 lists are added or convolved, and each result coefficient becomes a
-Fraction once.  Constants keep Fraction arithmetic, because converting
-one costs more than the Fraction operation it would replace.
+Fraction once.  Constants (at most one coefficient on each side) keep
+Fraction arithmetic, and not for speed: a genus sweep, which is mostly
+constant arithmetic, runs faster through the kernel.  The Fraction path
+stays because a faster genus sweep uses up perfbench's genus-sweep windows
+and hangs (ROADMAP item 1); once that is fixed, int-backed coefficients
+replace both paths (ROADMAP item 2).
 
 Every square rule is homogeneous (checked at construction), so a rewrite
 never changes the degree of a monomial.  A product of monomials of degrees

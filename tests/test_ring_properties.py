@@ -234,6 +234,8 @@ def test_integer_kernel_matches_fraction_arithmetic(pair):
 
 
 def test_constant_arithmetic_bypasses_the_kernel(monkeypatch):
+    # Through the kernel a genus sweep would run about 11% faster, which
+    # perfbench's genus-sweep windows cannot absorb yet (ROADMAP item 1).
     def spy(self):
         raise AssertionError("constant arithmetic entered the integer kernel")
 
