@@ -18,7 +18,7 @@ y so that the rank is the exact generic rank over Q(y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
@@ -232,6 +232,38 @@ def default_3p3q():
             JetPoint(x=Fraction(1), jets=3))
 
 
+def _jet_rows(points, widths, same_fiber):
+    """Jet rows of the first widths[b] columns of each block b."""
+    xs = [p.x for p in points]
+    if not same_fiber and len(set(xs)) != len(xs):
+        raise ValueError("two points share a fiber; pass same_fiber=True "
+                         "if that is intended")
+    rows = []
+    free = 0
+    for pt in points:
+        y = pt.y
+        if not pt.on_directrix and y is None:
+            y = G ** (7 ** free)
+            free += 1
+        powers = [pt.x ** t for t in range(max(widths))]
+        for k in range(pt.jets):
+            row = []
+            for bi, ncols in enumerate(widths):
+                if pt.on_directrix:
+                    # w-chart: f = a + b*w + c*w**2 + d*w**3, at w = 0 the
+                    # k-th divided jet reads off coefficient block k.
+                    val = Fraction(1) if bi == k else Fraction(0)
+                else:
+                    p = 3 - bi  # y-power of block bi
+                    if k > p:
+                        val = Fraction(0)
+                    else:
+                        val = comb(p, k) * y ** (p - k)
+                row.extend(val * v for v in powers[:ncols])
+            rows.append(row)
+    return rows
+
+
 def jet_matrix(m, n, points, same_fiber=False):
     """Jet-evaluation matrix for the cubic's coefficient space.
 
@@ -244,48 +276,26 @@ def jet_matrix(m, n, points, same_fiber=False):
     every nonzero minor nonzero: ranks over Q(G) are the generic ranks
     over Q(y).
     """
-    degs = splitting_sym3(m, n)
-    blocks = [max(0, d + 1) for d in degs]
-    xs = [p.x for p in points]
-    if not same_fiber and len(set(xs)) != len(xs):
-        raise ValueError("two points share a fiber; pass same_fiber=True "
-                         "if that is intended")
-    rows = []
-    free = 0
-    for pt in points:
-        y = pt.y
-        if not pt.on_directrix and y is None:
-            y = G ** (7 ** free)
-            free += 1
-        powers = [pt.x ** t for t in range(max(blocks))]
-        for k in range(pt.jets):
-            row = []
-            for bi, ncols in enumerate(blocks):
-                if pt.on_directrix:
-                    # w-chart: f = a + b*w + c*w**2 + d*w**3, at w = 0 the
-                    # k-th divided jet reads off coefficient block k.
-                    val = Fraction(1) if bi == k else Fraction(0)
-                else:
-                    p = 3 - bi  # y-power of block bi
-                    if k > p:
-                        val = Fraction(0)
-                    else:
-                        val = comb(p, k) * y ** (p - k)
-                # x**t repeats when x is 0 or +-1: one product per value.
-                block = powers[:ncols]
-                scaled = {v: val * v for v in set(block)}
-                row.extend(map(scaled.__getitem__, block))
-            rows.append(row)
-    return rows
+    widths = [max(0, d + 1) for d in splitting_sym3(m, n)]
+    return _jet_rows(points, widths, same_fiber)
 
 
 def jet_rank(m, n, points=None, same_fiber=False):
     """((rows, cols), rank) of the jet matrix at generic fiber positions.
 
     The rank is exact over Q(y) for the points with y=None (see jet_matrix).
+    It is taken on a narrow matrix of the same rank; the shape is the full one.
     """
     if points is None:
         points = default_3p3q()
-    ncols = sum(max(0, d + 1) for d in splitting_sym3(m, n))
-    rows = jet_matrix(m, n, points, same_fiber=same_fiber)
-    return (len(rows), ncols), rank_fraction(rows)
+    widths = [max(0, d + 1) for d in splitting_sym3(m, n)]
+    # In block b, column t is x**t times a factor of the row.  With k
+    # distinct x among the points, the columns t < k carry an invertible
+    # Vandermonde matrix, so they span every later column of the block:
+    # the cost depends on neither (m, n) nor the jet counts.  A jet of
+    # order 4 or more is a zero row: every block has y-degree at most 3
+    # off the directrix, and the w-chart has no block past 3 on it.
+    k = len({p.x for p in points})
+    rows = _jet_rows([replace(p, jets=min(p.jets, 4)) for p in points],
+                     [min(w, k) for w in widths], same_fiber)
+    return (sum(p.jets for p in points), sum(widths)), rank_fraction(rows)

@@ -73,13 +73,9 @@ def rank_fraction(rows):
     """Rank over the fraction field: of Q, or of Q(g) for ParamPoly entries.
 
     Any nonzero pivot is accepted, so for ParamPoly entries this is the
-    generic rank, which may drop at particular values of g.  Repeated
-    columns are dropped first: a repeated column never changes the rank,
-    and a jet matrix has only a handful of distinct columns.
+    generic rank, which may drop at particular values of g.
     """
-    _check_rect(rows)
-    columns = dict.fromkeys(zip(*rows))
-    return _eliminate([list(row) for row in zip(*columns)], bool)[0]
+    return _eliminate(rows, bool)[0]
 
 
 def bareiss_det(rows):

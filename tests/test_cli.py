@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from importlib import resources
@@ -24,6 +25,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def time_bound(seconds):
+    """Fail the block with TimeoutError once it runs past seconds, so a
+    cost that regresses to the full matrix fails fast instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s bound")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def assert_same_text(got, want):
@@ -531,6 +548,15 @@ class TestJetCommand:
         assert code == 0
         assert "rank 2" in out
 
+    def test_row_counts_cost_nothing(self, capsys):
+        # jets of order 4 or more are zero rows: 10**8 of them are counted
+        # in the shape, never built
+        with time_bound(1.0):
+            code, out, _ = run(capsys, "jet", "--m", "2", "--n", "4",
+                               "--rows", "100000000p3q")
+        assert code == 0
+        assert "matrix 100000003x16, rank 7" in out
+
     def test_outside_locus(self, capsys):
         code, out, _ = run(capsys, "jet", "--m", "1", "--n", "5")
         assert code == 0
@@ -666,9 +692,11 @@ _GRAMMAR = {
     },
     "det": {"--format": _FORMAT},
     "jet": {
-        "--m": _SMALL_INT,
-        "--n": _SMALL_INT,
-        "--rows": st.sampled_from(["3p3q", "1p1q", "2p1q", "1P3Q", " 3p3q"]),
+        "--m": _SMALL_INT | st.integers(0, 10 ** 6).map(str),
+        "--n": _SMALL_INT | st.integers(0, 10 ** 6).map(str),
+        "--rows": st.sampled_from(["3p3q", "1p1q", "2p1q", "1P3Q", " 3p3q"])
+        | st.builds("{}p{}q".format, st.integers(1, 10 ** 8),
+                    st.integers(1, 10 ** 8)),
         "--p-directrix": None,
         "--q-directrix": None,
     },
@@ -732,12 +760,25 @@ def test_fuzzed_input_contract(argv):
     """Any argv exits 0, 1 or 2 with no other exception, and a usage
     error (exit 2) prints nothing on stdout.
 
-    Values are small on purpose.  In-range inputs that are slow by design
-    are left out: strata --g 10**9, verify --g 0..10**7 and large jet
-    splittings; bounding their cost is a separate gate.
+    jet draws splittings up to 10**6 and jet counts up to 10**8: its
+    rank costs the same at every size.  The other values are small on
+    purpose.  In-range inputs that are slow by design are left out:
+    strata --g 10**9 and verify --g 0..10**7; bounding their cost is a
+    separate gate.
     """
-    code, out, err = _run_main(argv)
+    bound = time_bound(1.0) if argv[0] == "jet" else contextlib.nullcontext()
+    with bound:
+        code, out, err = _run_main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, argv
     if code == 2:
         assert out == "", argv
+
+
+def test_large_jet_splitting_in_time():
+    # the full matrix would have 6 000 004 columns
+    with time_bound(1.0):
+        code, out, err = _run_main(["jet", "--m", "1000000",
+                                    "--n", "2000000"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "matrix 6x6000004, rank 6"

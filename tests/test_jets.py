@@ -112,8 +112,10 @@ def test_jet_rank_default_points():
     assert rank == 6
 
 
-def test_rank_eliminates_distinct_columns_only(monkeypatch):
-    # the 6 x 9604 jet matrix at (1600, 3200) has 7 distinct columns
+def test_rank_eliminates_capped_widths_only(monkeypatch):
+    # x = 0 and x = 1 are two distinct x, so jet_rank keeps the first
+    # min(width, 2) columns of each block: widths 1, 2, 2 and 2 of the
+    # 1, 1601, 3201 and 4801 at (1600, 3200), 7 of the 9604 columns
     widths = []
     eliminate = linalg._eliminate
 
@@ -126,10 +128,10 @@ def test_rank_eliminates_distinct_columns_only(monkeypatch):
     assert len(widths) == 1 and widths[0] <= 7
 
 
-def test_jet_build_multiplies_each_distinct_entry_once(monkeypatch):
-    # x = 0 and x = 1 repeat x**t along every block: one product per value.
-    # The build and the 6 x 7 elimination make 83 products, not one per
-    # polynomial entry (16 083) of the 6 x 9604 matrix.
+def test_jet_rank_products_bounded_by_capped_widths(monkeypatch):
+    # the build of the 6 x 7 narrow matrix (capped widths 1, 2, 2 and 2)
+    # and its elimination make a few dozen products, not one per
+    # polynomial entry (16 083) of the full 6 x 9604 matrix
     calls = []
     mul = ParamPoly.__mul__
 
@@ -168,7 +170,7 @@ def _reference_jet_matrix(m, n, points):
 
 _POINTS = st.lists(st.builds(
     JetPoint, st.sampled_from([F(0), F(1), F(-1), F(2), F(-1, 2)]),
-    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=6),
     st.sampled_from([None, F(0), F(3)])), min_size=1, max_size=3) | \
     st.just((JetPoint(F(0), 2, on_directrix=True), JetPoint(F(-1), 3)))
 
@@ -184,6 +186,16 @@ def test_jet_matrix_matches_entrywise_build(a, b, points):
         [[type(e) for e in row] for row in want]
 
 
+@given(st.integers(min_value=0, max_value=12), st.integers(min_value=0,
+       max_value=12), _POINTS)
+def test_jet_rank_matches_full_matrix(a, b, points):
+    # jets up to 6 reach past the row cap of 4 per point
+    m, n = min(a, b), max(a, b)
+    full = jet_matrix(m, n, points, same_fiber=True)
+    assert jet_rank(m, n, points, same_fiber=True) == \
+        ((len(full), len(full[0])), linalg._eliminate(full, bool)[0])
+
+
 _ENTRIES = st.sampled_from([0, 1, -1, 2, F(1, 2), F(-3, 2), ParamPoly(),
                             G, G + 1, G * G - 2])
 
@@ -196,8 +208,8 @@ _ENTRIES = st.sampled_from([0, 1, -1, 2, F(1, 2), F(-3, 2), ParamPoly(),
                  max_size=6).flatmap(
             lambda extra: st.permutations(list(range(ncols)) + extra)))))
 def test_rank_unchanged_by_repeated_or_permuted_columns(case):
-    # every column kept at least once, some repeated, in any order: the
-    # rank of every elimination is that of the matrix as given
+    # every column kept at least once, some repeated, in any order:
+    # rank_fraction reads the rank of the matrix as given
     rows, order = case
     shuffled = [[row[c] for c in order] for row in rows]
     want = linalg._eliminate(rows, bool)[0]
