@@ -218,13 +218,7 @@ def parse_g_spec(text):
             values.append(parse_genus(chunk))
         else:
             raise ValueError("empty g entry")
-    seen = set()
-    out = []
-    for v in values:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+    return list(dict.fromkeys(values))
 
 
 def _emit(report, fmt):

@@ -125,8 +125,8 @@ def param_rank(rows):
     pivot is a k-minor, so at every such g the rank is at least k, and
     once the remaining entries vanish identically it is exactly the number
     of pivots.  When nonzero entries remain but none can serve as a
-    certified pivot, raises ValueError rather than guess; callers can fall
-    back to sampling.
+    certified pivot, raises ValueError rather than guess: a rank it cannot
+    prove is a failed certificate, never a sampled one.
     """
     return _eliminate(rows, ParamPoly.nonvanishing_for_nonneg_g)[0]
 

@@ -753,21 +753,6 @@ class ChowElement:
                     f"{name}**{exps[i]} present; not linear in {name}")
         return ChowElement(self.ring, p0), ChowElement(self.ring, p1)
 
-    def substitute_generator(self, name, replacement):
-        """Replace a generator by another element of the same ring."""
-        replacement = self._coerce_other(replacement)
-        if replacement is None:
-            raise TypeError("replacement must coerce into the ring")
-        i = self.ring.index_of(name)
-        total = self.ring.zero()
-        for exps, coeff in self.terms.items():
-            e = exps[i]
-            stripped = list(exps)
-            stripped[i] = 0
-            base = ChowElement(self.ring, {tuple(stripped): coeff})
-            total = total + base * replacement ** e
-        return total
-
     # -- text --
 
     def canonical(self):

@@ -15,11 +15,13 @@ All six spaces share one degree-truncated coefficient ring:
 The generators are the zetas, z, then the base ones; rewriting takes the
 zetas in reverse, then z.  PE and X3 (and X111 and Xtilde3) are one recipe
 under two labels that differ only in the space below; elements compare
-across the pair.  A pushforward is one step down: the linear coefficient
-of the generator that the step introduced (a zeta, or z on P), by the
-rank-2 projective bundle formula gamma_* (zeta * gamma^* beta) = beta,
-gamma_* gamma^* beta = 0.  Pullbacks are generator renamings, and the
-diagonal restriction substitutes zeta_q -> zeta_p.
+across the pair.  A pushforward is one of two P1-bundle steps down, gamma
+(a zeta) or pi (z on P): the linear coefficient of the generator that the
+step introduced, by the rank-2 projective bundle formula
+gamma_* (zeta * gamma^* beta) = beta, gamma_* gamma^* beta = 0.  Every
+other map is one ring map, ``lift``, that renames generators: a pullback
+keeps the names, and the diagonal restriction Xtilde3 -> X3 renames
+zeta_q to zeta_p.
 
 Truncation degree comes from the CHOWKIT_TRUNCATION environment variable
 when not passed explicitly (default 4).
@@ -196,67 +198,56 @@ def _sibling(ctx, space_id):
     return build_space(space_id, g=ctx.g_value, truncation=ctx.truncation)
 
 
-def _remap(element, src_ring, dst_ring, rename):
+def lift(element, target_ctx, rename=None):
+    """The tower's one renaming map: pullbacks, the landing of each
+    pushforward step and the diagonal restriction all go through it.
+
+    Each generator keeps its name unless rename maps it to another; the
+    renamed terms are normalized in the target, so two generators renamed
+    to one multiply out by the target's square rules.  A generator with no
+    counterpart in the target raises ValueError.
+    """
+    rename = rename or {}
+    src, dst = element.ring, target_ctx.ring
     out = {}
     for exps, coeff in element.terms.items():
-        new = [0] * len(dst_ring.generators)
+        new = [0] * len(dst.generators)
         for i, e in enumerate(exps):
             if e == 0:
                 continue
-            name = src_ring.generators[i].name
+            name = src.generators[i].name
             name = rename.get(name, name)
-            if not dst_ring.has_generator(name):
+            if not dst.has_generator(name):
                 raise ValueError(f"generator {name} does not exist in the "
                                  "target presentation")
-            new[dst_ring.index_of(name)] += e
+            new[dst.index_of(name)] += e
         key = tuple(new)
         out[key] = out.get(key, ParamPoly()) + coeff
-    return dst_ring.element(out)
-
-
-def lift(element, target_ctx, rename=None):
-    """Pullback along the tower: the generator-renaming injection."""
-    return _remap(element, element.ring, target_ctx.ring, rename or {})
+    return dst.element(out)
 
 
 def pushforward(ctx, element, along, zeta="zeta_p"):
-    """Pushforward along one of the tower maps.
+    """Pushforward along one P1-bundle step of the tower.
 
-    along="gamma": the P1-bundle step that introduced a zeta; on the
-    two-point spaces the zeta argument picks which one is integrated out
-    (the surviving zeta_q is renamed zeta_p on the one-point space below).
-    along="pi": the P -> B step, integrating out z.
-    along="gamma_then_pi": both steps of the PE/X3 tower; zeta must be
-    zeta_p, the one zeta those spaces have.
-    along="eta_p": reinterpret a zeta_q-free class on Xtilde3/X111 on the
-    one-point space (not a fibration pushforward; degree is preserved).
-    pi and eta_p integrate out no zeta and refuse any zeta but the default.
+    along="gamma": the step that introduced a zeta; on the two-point
+    spaces the zeta argument picks which one is integrated out (the
+    surviving zeta_q is renamed zeta_p on the one-point space below).
+    along="pi": the P -> B step, integrating out z; it integrates out no
+    zeta and refuses any zeta but the default.  Each step keeps the linear
+    coefficient of its generator and lifts it to the space below; longer
+    pushforwards compose the steps.
     """
     if element.ring != ctx.ring:
         raise ValueError("element does not live on the given space")
-    if along in ("pi", "eta_p") and zeta != "zeta_p":
-        raise ValueError(f"{along} integrates out no zeta; got zeta={zeta!r}")
     zetas, below = _TOWER[ctx.space_id]
-    if along == "gamma_then_pi":
-        if below != "P":
-            raise ValueError(f"gamma_then_pi pushes forward from PE or X3, "
-                             f"not {ctx.space_id}")
-        mid = pushforward(ctx, element, "gamma", zeta=zeta)
-        return pushforward(_sibling(ctx, below), mid, "pi")
-    if along == "eta_p":
-        if "zeta_q" not in (zetas or ()):
-            raise ValueError(f"eta_p forgets zeta_q; {ctx.space_id} has none")
-        qi = ctx.ring.index_of("zeta_q")
-        if any(exps[qi] for exps in element.terms):
-            raise ValueError("class involves zeta_q; eta_p is only defined "
-                             "for zeta_q-free classes")
-        return _remap(element, ctx.ring, _sibling(ctx, below).ring, {})
     if along == "gamma":
         if zeta not in (zetas or ()):
             raise ValueError(f"no gamma pushforward of {zeta!r} on "
                              f"{ctx.space_id}")
         step = zeta
     elif along == "pi":
+        if zeta != "zeta_p":
+            raise ValueError(f"pi integrates out no zeta; got zeta={zeta!r}")
         if zetas != ():
             raise ValueError(f"pi pushes forward from P, not {ctx.space_id}")
         step = "z"
@@ -264,13 +255,12 @@ def pushforward(ctx, element, along, zeta="zeta_p"):
         raise ValueError(f"unknown pushforward {along!r}")
     _, linear = element.split_linear(step)
     rename = {"zeta_q": "zeta_p"} if step == "zeta_p" else {}
-    return _remap(linear, ctx.ring, _sibling(ctx, below).ring, rename)
+    return lift(linear, _sibling(ctx, below), rename)
 
 
 def diagonal(ctx, element):
-    """Restrict a class on Xtilde3 to the diagonal: zeta_q -> zeta_p."""
+    """Restrict a class on Xtilde3 to the diagonal of X3: the lift that
+    renames zeta_q to zeta_p."""
     if ctx.space_id != "Xtilde3":
         raise ValueError("diagonal restriction is defined on Xtilde3")
-    substituted = element.substitute_generator("zeta_q",
-                                              ctx.ring.gen("zeta_p"))
-    return pushforward(ctx, substituted, "eta_p")
+    return lift(element, _sibling(ctx, "X3"), {"zeta_q": "zeta_p"})

@@ -295,12 +295,6 @@ class TestElementApi:
         assert p1 == pe.parse("3*a2p")
         assert e == p0 + pe.gen("z") * p1
 
-    def test_substitute_generator(self):
-        pe = pe_ring()
-        e = pe.parse("zeta_p + 2*z")
-        swapped = e.substitute_generator("zeta_p", pe.parse("a1 - z"))
-        assert swapped == pe.parse("a1 + z")
-
     def test_evaluate(self):
         pe = pe_ring()
         e = pe.parse("(g+2)*z - a1")

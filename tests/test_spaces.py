@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from chowkit.ring import G
 from chowkit.spaces import (SPACE_IDS, build_space, diagonal, lift,
                             pushforward)
 
@@ -160,17 +161,25 @@ def test_pushforward_pi(spaces):
 
 
 def test_pushforward_gamma_then_pi(spaces):
-    pe = spaces["PE"]
+    pe, p, b = spaces["PE"], spaces["P"], spaces["B"]
     elem = pe.parse("3*a2p*z*zeta_p + a2*zeta_p")
-    assert pushforward(pe, elem, "gamma_then_pi") == \
-        spaces["B"].parse("3*a2p")
-    # the zeta argument reaches the gamma step, which has no zeta_q here
+    assert pushforward(p, pushforward(pe, elem, "gamma"), "pi") == \
+        b.parse("3*a2p")
+    # the gamma step has no zeta_q here
     with pytest.raises(ValueError, match="zeta_q"):
-        pushforward(pe, elem, "gamma_then_pi", zeta="zeta_q")
-    # a two-zeta space is refused by name, not by the space below it
-    for sid in ("X111", "Xtilde3"):
-        with pytest.raises(ValueError, match=f"not {sid}$"):
-            pushforward(spaces[sid], spaces[sid].one(), "gamma_then_pi")
+        pushforward(pe, elem, "gamma", zeta="zeta_q")
+    # both one-point spaces take the weighted square to the same number
+    for sid in ("PE", "X3"):
+        ctx = spaces[sid]
+        mid = pushforward(ctx, _weighted_square(ctx), "gamma")
+        got = pushforward(p, mid, "pi")
+        assert got.ring is b.ring
+        assert got.canonical() == "(4*g+20)"
+    # one gamma step from a two-zeta space lands on PE or X3, not on P
+    for sid, below in (("X111", "PE"), ("Xtilde3", "X3")):
+        mid = pushforward(spaces[sid], spaces[sid].one(), "gamma")
+        with pytest.raises(ValueError, match=f"not {below}$"):
+            pushforward(spaces[below], mid, "pi")
 
 
 def test_pushforward_two_point(spaces):
@@ -184,21 +193,12 @@ def test_pushforward_two_point(spaces):
         pe.gen("zeta_p")
 
 
-def test_pushforward_eta_p(spaces):
+def test_lift_zeta_q_free_to_one_point(spaces):
     x111, pe = spaces["X111"], spaces["PE"]
     elem = x111.parse("zeta_p + 2*z")
-    assert pushforward(x111, elem, "eta_p") == pe.parse("zeta_p + 2*z")
+    assert lift(elem, pe) == pe.parse("zeta_p + 2*z")
     with pytest.raises(ValueError):
-        pushforward(x111, x111.gen("zeta_q"), "eta_p")
-
-
-def test_pushforward_eta_p_rejects_zeta(spaces):
-    # eta_p integrates out no zeta: only the default is accepted, even for
-    # a class it maps (pi's refusal is pinned by _PUSHFORWARDS)
-    x111 = spaces["X111"]
-    elem = x111.parse("zeta_p + 2*z")
-    with pytest.raises(ValueError, match="zeta"):
-        pushforward(x111, elem, "eta_p", zeta="zeta_q")
+        lift(x111.gen("zeta_q"), pe)
 
 
 #: (space, map, zeta) -> (space of the result, canonical text) of every
@@ -208,14 +208,12 @@ _PUSHFORWARDS = {
     ("P", "pi", "zeta_p"): ("B", "16*a2 + 24*c2 + 12*a1 + 20*a2p + 4"),
     ("PE", "gamma", "zeta_p"):
         ("P", "20*a2 + 28*c2 + (4*g+20)*z + 20*a1 + 24*a2p + 4"),
-    ("PE", "gamma_then_pi", "zeta_p"): ("B", "(4*g+20)"),
     ("X111", "gamma", "zeta_p"):
         ("PE", "24*a2 + 32*c2 + 12*zeta_p + (4*g+24)*z + 24*a1 + 28*a2p + 4"),
     ("X111", "gamma", "zeta_q"):
         ("PE", "36*a2 + 48*c2 + 12*zeta_p + (9*g+42)*z + 39*a1 + 42*a2p + 6"),
     ("X3", "gamma", "zeta_p"):
         ("P", "20*a2 + 28*c2 + (4*g+20)*z + 20*a1 + 24*a2p + 4"),
-    ("X3", "gamma_then_pi", "zeta_p"): ("B", "(4*g+20)"),
     ("Xtilde3", "gamma", "zeta_p"):
         ("X3", "24*a2 + 32*c2 + 12*zeta_p + (4*g+24)*z + 24*a1 + 28*a2p + 4"),
     ("Xtilde3", "gamma", "zeta_q"):
@@ -257,8 +255,49 @@ def test_diagonal(spaces):
     xt, x3 = spaces["Xtilde3"], spaces["X3"]
     elem = xt.parse("zeta_q + zeta_p - a1")
     assert diagonal(xt, elem) == x3.parse("2*zeta_p - a1")
+    # two generators renamed to one multiply out by the target's rules
+    assert lift(xt.gen("zeta_p") * xt.gen("zeta_q"), x3,
+                {"zeta_q": "zeta_p"}) == x3.gen("zeta_p") ** 2
     with pytest.raises(ValueError):
         diagonal(spaces["X111"], spaces["X111"].one())
+
+
+def _diagonal_by_substitution(xt, x3, element):
+    """Reference diagonal: replace zeta_q by zeta_p term by term with
+    Xtilde3 products, then carry the zeta_q-free result over to X3."""
+    qi = xt.ring.index_of("zeta_q")
+    zeta_p = xt.gen("zeta_p")
+    total = xt.zero()
+    for exps, coeff in element.terms.items():
+        stripped = exps[:qi] + (0,) + exps[qi + 1:]
+        total = total + xt.ring.element({stripped: coeff}) * zeta_p ** exps[qi]
+    assert all(exps[qi] == 0 for exps in total.terms)
+    return x3.ring.element({exps[:qi] + exps[qi + 1:]: coeff
+                            for exps, coeff in total.terms.items()})
+
+
+@pytest.mark.parametrize("truncation", [4, 6])
+@pytest.mark.parametrize("g", [None, 0, 7, 1500])
+def test_diagonal_matches_substitution(truncation, g):
+    xt = build_space("Xtilde3", g=g, truncation=truncation)
+    x3 = build_space("X3", g=g, truncation=truncation)
+    names = [gq.name for gq in xt.ring.generators]
+    rng = random.Random(truncation * 10007 + (-1 if g is None else g))
+    for _ in range(30):
+        elem = xt.zero()
+        for _ in range(rng.randint(1, 5)):
+            coeff = rng.randint(-5, 5)
+            if g is None:
+                coeff = coeff + rng.randint(-3, 3) * G
+            term = xt.const(coeff)
+            for _ in range(rng.randint(0, truncation)):
+                term = term * xt.gen(rng.choice(names))
+            elem = elem + term
+        got = diagonal(xt, elem)
+        want = _diagonal_by_substitution(xt, x3, elem)
+        assert got.ring is x3.ring
+        assert got == want
+        assert got.canonical() == want.canonical()
 
 
 def test_projection_formula_below_truncation(spaces):
