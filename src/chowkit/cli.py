@@ -12,12 +12,17 @@ structure is frozen in report-schema.json next to this module.  The
 report writer reproduces json.dumps(indent=2, ensure_ascii=False) byte
 for byte and accepts only dict (with str keys), list, str, int, bool and
 None, plus a _Json fragment: text the writer already produced, which it
-re-indents in place; anything else, floats included, raises TypeError.
-The strata report is written straight from the stratum descriptors: a
-side's display string is filled in from its shape's template when the
-side is built, and its JSON block is its shape's block, rendered once per
-report, with its genera filled in.  A genus, the jet splitting degrees
-and the jet counts of a row spec are read as ASCII decimal digits only.
+re-indents to the fragment's place; anything else, floats included,
+raises TypeError.
+
+The strata report is streamed.  The report text around the strata list
+is written first and last, and in between each stratum is written once,
+already at its final indent: its stratum shape's JSON object template,
+made once per report with %d for j and each genus, display included,
+filled in with one %.  No string holds the whole list or the whole
+report.  Text output without --oracle is written one split at a time,
+with a running total.  A genus, the jet splitting degrees and the jet
+counts of a row spec are read as ASCII decimal digits only.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from json.encoder import encode_basestring
 from . import __version__
 from .bundles import JetPoint, in_locus_B, jet_rank
 from .spaces import _truncation_from_env
-from .strata import (FACTOR_SHAPES, enumerate_codim1, format_stratum,
-                     oracle_enumerate)
+from .strata import (FACTOR_SHAPES, codim1_by_split, enumerate_codim1,
+                     format_stratum, oracle_enumerate, stratum_display)
 from .verify import (LemmaId, StageFailure, TruncationTooLow,
                      triviality_check, verify_relation)
 
@@ -137,50 +142,56 @@ def _chain_payload(chain):
     return {stage: value.canonical() for stage, value in chain.stages()}
 
 
-def _side_blocks():
-    """Each factor shape's side JSON block at indent 4, with %d for each
-    genus, once in genera and once in the display."""
-    blocks = {}
-    for (degrees, profiles), shape in FACTOR_SHAPES.items():
-        blocks[degrees, profiles] = _json_text({
-            "degrees": list(degrees),
-            "genera": [_Json("%d")] * len(degrees),
-            "profiles": [list(p) for p in profiles],
-            "display": shape.template,
-        }, "    ")
-    return blocks
+def _stratum_template(s):
+    """The JSON object of every stratum of s's shape, at its indent in the
+    report, with %d for j and for each genus.
 
-
-def _strata_json(strata):
-    """The strata list as _Json, equal to _json_text of the list of
-    stratum payloads (keys j, node-profile, side1, side2, quotient,
-    display).
-
-    A side's JSON block is its shape's block with its genera filled in.
-    Apart from the genera a block holds only its shape's fixed keys,
-    degrees, profiles and template, so it has no other %.
+    A stratum shape is its side shapes, which fix the node profile, and
+    its quotient.  The slots come in the order j, side 1's genera in its
+    block and in its display, side 2's likewise, then j and both sides'
+    genera in the stratum's display.  Nothing else in the template holds
+    a %: keys, profiles, quotients and shape templates have none.
     """
-    blocks = _side_blocks()
+    blocks, templates = [], []
+    for side in (s.side1, s.side2):
+        template = FACTOR_SHAPES[side.degrees, side.profiles].template
+        templates.append(template)
+        blocks.append({
+            "degrees": list(side.degrees),
+            "genera": [_Json("%d")] * len(side.genera),
+            "profiles": [list(p) for p in side.profiles],
+            "display": template,
+        })
+    return _json_text({
+        "j": _Json("%d"),
+        "node-profile": list(s.node_profile),
+        "side1": blocks[0],
+        "side2": blocks[1],
+        "quotient": s.quotient_group,
+        "display": stratum_display("%d", s.node_profile, *templates,
+                                   s.quotient_group),
+    }, "      ")
 
-    def side_json(side):
-        return blocks[side.degrees, side.profiles] % (side.genera
-                                                      + side.genera)
 
-    profiles = {p: _json_text(list(p), "    ")
-                for p in {s.node_profile for s in strata}}
-    items = []
+def _write_strata(write, strata):
+    """Write the report's strata list at its indent, one write per stratum:
+    its shape's template, made once per call, filled with one %."""
+    if not strata:
+        write("[]")
+        return
+    templates = {}
+    sep = "[\n      "
     for s in strata:
-        items.append(
-            '{\n    "j": ' + str(s.j)
-            + ',\n    "node-profile": ' + profiles[s.node_profile]
-            + ',\n    "side1": ' + side_json(s.side1)
-            + ',\n    "side2": ' + side_json(s.side2)
-            + ',\n    "quotient": ' + encode_basestring(s.quotient_group)
-            + ',\n    "display": ' + encode_basestring(format_stratum(s))
-            + "\n  }")
-    if not items:
-        return _Json("[]")
-    return _Json("[\n  " + ",\n  ".join(items) + "\n]")
+        side1, side2 = s.side1, s.side2
+        key = (side1.degrees, side1.profiles, side2.degrees, side2.profiles,
+               s.quotient_group)
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = _stratum_template(s)
+        g1, g2 = side1.genera, side2.genera
+        write(sep + template % (s.j, *g1, *g1, *g2, *g2, s.j, *g1, *g2))
+        sep = ",\n      "
+    write("\n    ]")
 
 
 def parse_genus(text):
@@ -221,9 +232,25 @@ def parse_g_spec(text):
     return list(dict.fromkeys(values))
 
 
-def _emit(report, fmt):
+#: stands in for the strata list in the report text: encode_basestring
+#: escapes every control character, so a raw NUL occurs nowhere else
+_STRATA_MARK = "\x00"
+
+
+def _emit(report, fmt, strata=None):
+    """Print report; in JSON with strata, the descriptors behind
+    report.strata, whose list is _Json(_STRATA_MARK), are written in
+    place of the mark without building the list's text."""
     if fmt == "json":
-        print(report.to_json())
+        text = report.to_json()
+        if strata is None:
+            print(text)
+            return
+        head, tail = text.split(_STRATA_MARK)
+        write = sys.stdout.write
+        write(head)
+        _write_strata(write, strata)
+        write(tail + "\n")
         return
     for v in report.verdicts:
         g = "symbolic" if v["g"] is None else v["g"]
@@ -300,8 +327,10 @@ def cmd_strata(args):
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    strata = enumerate_codim1(g)
     report = _empty_report(mode="sampled", g_values=[g])
+    # JSON holds the whole list: the frozen key order puts count first
+    strata = (enumerate_codim1(g) if args.oracle or args.fmt == "json"
+              else None)
     agree = None
     if args.oracle:
         agree = reference == strata
@@ -315,15 +344,19 @@ def cmd_strata(args):
             "count": len(strata),
             "oracle-checked": bool(args.oracle),
             "oracle-agrees": agree,
-            "strata": _strata_json(strata),
+            "strata": _Json(_STRATA_MARK),
         }
+        _emit(report, args.fmt, strata)
     else:
-        for s in strata:
-            print(format_stratum(s))
-        print(f"total: {len(strata)}")
+        write = sys.stdout.write
+        total = 0
+        for split in codim1_by_split(g) if strata is None else (strata,):
+            write("".join([format_stratum(s) + "\n" for s in split]))
+            total += len(split)
+        print(f"total: {total}")
         if args.oracle:
             print("oracle: " + ("agrees" if agree else "MISMATCH"))
-    _emit(report, args.fmt)
+        _emit(report, args.fmt)
     return 0 if report.overall_pass else 1
 
 

@@ -16,13 +16,14 @@ quotient group is looked up from the configuration shapes.
 Only five side shapes occur, and FACTOR_SHAPES holds each one's node
 profile, Riemann-Hurwitz offsets and display template: a side is checked
 by one lookup of its shape plus its genera, and its display string is
-filled in from the template when the side is built.  enumerate_codim1
+filled in from the template when the side is built.  codim1_by_split
 reads the sides of each split straight off that table, solving for the
-principal genus, and generates the list in canonical (sort_key) order
-with one side object per distinct side of each split; oracle_enumerate
-rediscovers it by brute force (all degree shapes, all profile-part
-distributions, all genera, connectivity by trying every node-slot
-matching) for cross-checking.
+principal genus, and yields each split's strata in canonical (sort_key)
+order with one side object per distinct side of the split, so a writer
+holds one split at a time; enumerate_codim1 is the whole list, and
+oracle_enumerate rediscovers it by brute force (all degree shapes, all
+profile-part distributions, all genera, connectivity by trying every
+node-slot matching) for cross-checking.
 """
 
 from __future__ import annotations
@@ -215,18 +216,22 @@ def _glues_connected(profile, side1, side2):
     return True
 
 
-def enumerate_codim1(g):
-    """All codim-1 boundary strata for genus g, in sort_key order.
+def codim1_by_split(g):
+    """The codim-1 boundary strata for genus g, one list per split j.
 
-    The family rules generate that order: j rises from the mirror split
-    b/2, node profiles come fewest points first, and _side_configs lists
-    the connected side before the split one.
+    The lists come in sort_key order, and so do the strata in each: j
+    rises from the mirror split b/2, node profiles come fewest points
+    first, and _side_configs lists the connected side before the split
+    one.
     """
     b = branch_count(g)
-    found = []
     for j in range(b // 2, b - 1):  # side 1 is the larger side, j >= b-j
-        found.extend(_strata_for_split(g, j))
-    return found
+        yield _strata_for_split(g, j)
+
+
+def enumerate_codim1(g):
+    """All codim-1 boundary strata for genus g, in sort_key order."""
+    return list(itertools.chain.from_iterable(codim1_by_split(g)))
 
 
 def _strata_for_split(g, j):
@@ -375,8 +380,18 @@ def classify_factor(factor, genus_total):
 # -- formatting --
 
 
+def stratum_display(j, node_profile, display1, display2, quotient):
+    """A stratum's one-line display from its parts.
+
+    With j = "%d" and each side's display its shape's template, this is
+    the display template of a stratum shape.
+    """
+    profile = ",".join(str(p) for p in node_profile)
+    return f"D{j} ({profile}): {display1} x {display2} [{quotient}]"
+
+
 def format_stratum(stratum):
     """One-line display."""
-    profile = ",".join(str(p) for p in stratum.node_profile)
-    return (f"D{stratum.j} ({profile}): {stratum.side1.display} x "
-            f"{stratum.side2.display} [{stratum.quotient_group}]")
+    return stratum_display(stratum.j, stratum.node_profile,
+                           stratum.side1.display, stratum.side2.display,
+                           stratum.quotient_group)

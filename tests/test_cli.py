@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import chowkit
 from chowkit.cli import (_REPORT_FIELDS, Report, _empty_report, _Json,
-                         _json_text, _strata_json, main, parse_g_spec)
+                         _json_text, main, parse_g_spec)
 from chowkit.strata import enumerate_codim1, format_stratum
 from chowkit.verify import LemmaId
 
@@ -210,6 +211,39 @@ class TestVerifyCommand:
         assert report.chain is None
 
 
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+def _traced_peak(fn):
+    """The peak bytes tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _strata_peak(*argv):
+    """(traced peak, characters written) of one strata run into a
+    counting sink."""
+    sink = _CountingSink()
+
+    def command():
+        with contextlib.redirect_stdout(sink):
+            assert main(["strata", *argv]) == 0
+
+    return _traced_peak(command), sink.chars
+
+
 class TestStrataCommand:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "strata", "--g", "4")
@@ -239,9 +273,10 @@ class TestStrataCommand:
         assert "oracle capped at genus 30" in err
 
     def test_json_renders_each_side_once(self, capsys, monkeypatch):
-        # g = 2000: 8002 strata over 10002 distinct side objects, in both
-        # report formats; a side's display is filled in from its shape's
-        # template when it is built
+        # g = 2000: 8002 strata over 10002 distinct side objects; a side's
+        # display is filled in from its shape's template when it is built,
+        # and JSON fills in each stratum shape's template, display
+        # included, so only the text report formats a stratum
         counts = {"format_stratum": 0}
 
         def counting(name, fn):
@@ -255,11 +290,27 @@ class TestStrataCommand:
                                 counting(name, getattr(chowkit.strata, name)))
         monkeypatch.setattr(chowkit.cli, "format_stratum",
                             chowkit.strata.format_stratum)
-        for fmt in ("json", "text"):
+        for fmt, calls in (("json", 0), ("text", 8002)):
             counts.update(dict.fromkeys(counts, 0))
             code, _, _ = run(capsys, "strata", "--g", "2000", "--format", fmt)
             assert code == 0
-            assert counts["format_stratum"] == 8002, fmt
+            assert counts["format_stratum"] == calls, fmt
+
+    def test_text_memory_bounded_by_split(self):
+        # without --oracle the text report holds one split at a time: five
+        # times the genus writes five times the text at the same peak
+        _strata_peak("--g", "0")  # first-call allocations, not measured
+        small, small_chars = _strata_peak("--g", "2000")
+        large, large_chars = _strata_peak("--g", "10000")
+        assert large_chars > 4 * small_chars
+        assert large <= 2 * small, (small, large)
+
+    def test_json_memory_bounded_by_descriptors(self):
+        # the frozen key order puts count before the list, so JSON holds
+        # the descriptors, and nothing more that grows with them
+        descriptors = _traced_peak(lambda: enumerate_codim1(2000))
+        report, _ = _strata_peak("--g", "2000", "--format", "json")
+        assert report <= 1.5 * descriptors, (descriptors, report)
 
     def test_negative_genus_exits_2(self, capsys):
         code, _, err = run(capsys, "strata", "--g", "-1")
@@ -334,6 +385,32 @@ def _stratum_payload(stratum):
     }
 
 
+def _strata_payload(g, oracle, agrees):
+    strata = enumerate_codim1(g)
+    return {
+        "genus": g,
+        "count": len(strata),
+        "oracle-checked": oracle,
+        "oracle-agrees": agrees,
+        "strata": [_stratum_payload(s) for s in strata],
+    }
+
+
+def _strata_reference(g, oracle=False, agrees=None):
+    """Reference: the whole stdout of `strata --g g --format json`, with
+    or without --oracle, through json.dumps."""
+    return json.dumps({
+        "tool-version": chowkit.__version__,
+        "mode": "sampled",
+        "g-values": [g],
+        "verdicts": [],
+        "chain": None,
+        "strata": _strata_payload(g, oracle, agrees),
+        "determinant": None,
+        "overall-pass": agrees is not False,
+    }, indent=2, ensure_ascii=False) + "\n"
+
+
 class TestJsonWriter:
     """The report writer is json.dumps(indent=2, ensure_ascii=False)."""
 
@@ -354,24 +431,49 @@ class TestJsonWriter:
             {key: [value]}, indent=2, ensure_ascii=False)
 
     @pytest.mark.parametrize("g", [*range(31), 2000])
-    def test_strata_json_matches_reference(self, g):
-        strata = enumerate_codim1(g)
-        assert_same_text(_strata_json(strata), json.dumps(
-            [_stratum_payload(s) for s in strata], indent=2,
-            ensure_ascii=False))
+    def test_strata_json_matches_reference(self, g, capsys):
+        code, out, _ = run(capsys, "strata", "--g", str(g), "--format", "json")
+        assert code == 0
+        assert_same_text(out, _strata_reference(g))
 
-    def test_large_strata_report_matches_stdlib(self):
-        strata = enumerate_codim1(2000)
+    def test_large_strata_report_matches_stdlib(self, capsys):
+        # the whole-report writer on the 6.5 MB report, as the streamed
+        # stdout and Report.from_json(...).to_json() both need it
+        code, out, _ = run(capsys, "strata", "--g", "2000", "--format", "json")
+        assert code == 0
         report = _empty_report(mode="sampled", g_values=[2000])
-        report.strata = {"strata": [_stratum_payload(s) for s in strata]}
+        report.strata = _strata_payload(2000, oracle=False, agrees=None)
         payload = {key: getattr(report, attr)
                    for key, attr in _REPORT_FIELDS}
         text = report.to_json()
         assert_same_text(text, json.dumps(payload, indent=2,
                                           ensure_ascii=False))
-        assert_same_text(Report.from_json(text).to_json(), text)
-        report.strata = {"strata": _strata_json(strata)}
-        assert_same_text(report.to_json(), text)
+        assert_same_text(text + "\n", out)
+        assert_same_text(Report.from_json(out).to_json() + "\n", out)
+
+    @pytest.mark.parametrize("g", [0, 7, 30])
+    def test_oracle_report_matches_reference(self, g, capsys):
+        code, out, _ = run(capsys, "strata", "--g", str(g), "--oracle",
+                           "--format", "json")
+        assert code == 0
+        assert_same_text(out, _strata_reference(g, oracle=True, agrees=True))
+
+    def test_oracle_mismatch_report(self, capsys, monkeypatch, schema):
+        monkeypatch.setattr(chowkit.cli, "oracle_enumerate",
+                            lambda g: enumerate_codim1(g)[1:])
+        code, out, err = run(capsys, "strata", "--g", "9", "--oracle",
+                             "--format", "json")
+        assert code == 1
+        assert "oracle mismatch: 37 enumerated vs 36 brute-forced" in err
+        validate_report(schema, out)
+        payload = json.loads(out)
+        assert payload["strata"]["oracle-agrees"] is False
+        assert payload["overall-pass"] is False
+        assert_same_text(out, _strata_reference(9, oracle=True,
+                                                agrees=False))
+        code, out, _ = run(capsys, "strata", "--g", "9", "--oracle")
+        assert code == 1
+        assert out.endswith("total: 37\noracle: MISMATCH\noverall: FAIL\n")
 
     @pytest.mark.parametrize("bad", [1.5, (1, 2), {"a": [0.0]}, {1: 2},
                                      {"a": {1, 2}}])
