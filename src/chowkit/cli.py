@@ -15,14 +15,17 @@ None, plus a _Json fragment: text the writer already produced, which it
 re-indents to the fragment's place; anything else, floats included,
 raises TypeError.
 
-The strata report is streamed.  The report text around the strata list
-is written first and last, and in between each stratum is written once,
-already at its final indent: its stratum shape's JSON object template,
-made once per report with %d for j and each genus, display included,
-filled in with one %.  No string holds the whole list or the whole
-report.  Text output without --oracle is written one split at a time,
-with a running total.  A genus, the jet splitting degrees and the jet
-counts of a row spec are read as ASCII decimal digits only.
+The strata report is streamed.  Its count comes first, from the closed
+form codim1_count; the report text before the strata list is written,
+then each stratum once, already at its final indent: its stratum shape's
+JSON object template, made once per report with %d for j and each genus,
+display included, filled in with one %.  The text after the list is
+rendered only once the list is written, so a count that differs from the
+number written fails the report.  Without --oracle both formats take the
+strata one split at a time, so no descriptor list and no string holding
+the whole list or report is kept; text keeps a running total.  A genus,
+the jet splitting degrees and the jet counts of a row spec are read as
+ASCII decimal digits only.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ from json.encoder import encode_basestring
 from . import __version__
 from .bundles import JetPoint, in_locus_B, jet_rank
 from .spaces import _truncation_from_env
-from .strata import (FACTOR_SHAPES, codim1_by_split, enumerate_codim1,
-                     format_stratum, oracle_enumerate, stratum_display)
+from .strata import (FACTOR_SHAPES, codim1_by_split, codim1_count,
+                     enumerate_codim1, format_stratum, oracle_enumerate,
+                     stratum_display)
 from .verify import (LemmaId, StageFailure, TruncationTooLow,
                      triviality_check, verify_relation)
 
@@ -173,25 +177,27 @@ def _stratum_template(s):
     }, "      ")
 
 
-def _write_strata(write, strata):
-    """Write the report's strata list at its indent, one write per stratum:
-    its shape's template, made once per call, filled with one %."""
-    if not strata:
-        write("[]")
-        return
+def _write_strata(write, splits):
+    """Write the report's strata list at its indent, split by split, one
+    write per stratum: its shape's template, made once per call and kept
+    across the splits, filled with one %.  Returns the number written."""
     templates = {}
     sep = "[\n      "
-    for s in strata:
-        side1, side2 = s.side1, s.side2
-        key = (side1.degrees, side1.profiles, side2.degrees, side2.profiles,
-               s.quotient_group)
-        template = templates.get(key)
-        if template is None:
-            template = templates[key] = _stratum_template(s)
-        g1, g2 = side1.genera, side2.genera
-        write(sep + template % (s.j, *g1, *g1, *g2, *g2, s.j, *g1, *g2))
-        sep = ",\n      "
-    write("\n    ]")
+    written = 0
+    for split in splits:
+        for s in split:
+            side1, side2 = s.side1, s.side2
+            key = (side1.degrees, side1.profiles, side2.degrees,
+                   side2.profiles, s.quotient_group)
+            template = templates.get(key)
+            if template is None:
+                template = templates[key] = _stratum_template(s)
+            g1, g2 = side1.genera, side2.genera
+            write(sep + template % (s.j, *g1, *g1, *g2, *g2, s.j, *g1, *g2))
+            sep = ",\n      "
+        written += len(split)
+    write("\n    ]" if written else "[]")
+    return written
 
 
 def parse_genus(text):
@@ -238,19 +244,25 @@ _STRATA_MARK = "\x00"
 
 
 def _emit(report, fmt, strata=None):
-    """Print report; in JSON with strata, the descriptors behind
+    """Print report; in JSON with strata, the splits of descriptors behind
     report.strata, whose list is _Json(_STRATA_MARK), are written in
-    place of the mark without building the list's text."""
+    place of the mark without building the list's text.  The text after
+    the mark is rendered once they are written: a number written that
+    differs from report.strata["count"] fails the report."""
     if fmt == "json":
         text = report.to_json()
         if strata is None:
             print(text)
             return
-        head, tail = text.split(_STRATA_MARK)
         write = sys.stdout.write
-        write(head)
-        _write_strata(write, strata)
-        write(tail + "\n")
+        write(text.split(_STRATA_MARK)[0])
+        written = _write_strata(write, strata)
+        count = report.strata["count"]
+        if written != count:
+            report.overall_pass = False
+            print(f"strata count mismatch: {count} counted, {written} "
+                  f"written", file=sys.stderr)
+        write(report.to_json().split(_STRATA_MARK)[1] + "\n")
         return
     for v in report.verdicts:
         g = "symbolic" if v["g"] is None else v["g"]
@@ -328,9 +340,8 @@ def cmd_strata(args):
         print(str(exc), file=sys.stderr)
         return 2
     report = _empty_report(mode="sampled", g_values=[g])
-    # JSON holds the whole list: the frozen key order puts count first
-    strata = (enumerate_codim1(g) if args.oracle or args.fmt == "json"
-              else None)
+    # the oracle compares whole lists; otherwise strata come split by split
+    strata = enumerate_codim1(g) if args.oracle else None
     agree = None
     if args.oracle:
         agree = reference == strata
@@ -338,19 +349,20 @@ def cmd_strata(args):
             report.overall_pass = False
             print(f"oracle mismatch: {len(strata)} enumerated vs "
                   f"{len(reference)} brute-forced", file=sys.stderr)
+    splits = codim1_by_split(g) if strata is None else (strata,)
     if args.fmt == "json":
         report.strata = {
             "genus": g,
-            "count": len(strata),
+            "count": codim1_count(g),
             "oracle-checked": bool(args.oracle),
             "oracle-agrees": agree,
             "strata": _Json(_STRATA_MARK),
         }
-        _emit(report, args.fmt, strata)
+        _emit(report, args.fmt, splits)
     else:
         write = sys.stdout.write
         total = 0
-        for split in codim1_by_split(g) if strata is None else (strata,):
+        for split in splits:
             write("".join([format_stratum(s) + "\n" for s in split]))
             total += len(split)
         print(f"total: {total}")

@@ -21,9 +21,17 @@ reads the sides of each split straight off that table, solving for the
 principal genus, and yields each split's strata in canonical (sort_key)
 order with one side object per distinct side of the split, so a writer
 holds one split at a time; enumerate_codim1 is the whole list, and
-oracle_enumerate rediscovers it by brute force (all degree shapes, all
-profile-part distributions, all genera, connectivity by trying every
-node-slot matching) for cross-checking.
+codim1_count its length in closed form, so a writer can state the count
+before the list.  A side's branch total, connectivity and arithmetic
+genus are computed once, when it is built, and a descriptor checks its
+sides against them.
+
+oracle_enumerate rediscovers the strata by brute force for
+cross-checking: per node profile, one sweep over all degree shapes, all
+profile-part distributions and all genera finds every stable side, keyed
+by its branch total, and every pair of sides that fills a split is kept
+when some node-slot matching glues it into a connected curve.  The work
+is linear in the genus.
 """
 
 from __future__ import annotations
@@ -104,18 +112,14 @@ class FactorSpace:
             raise ValueError("a degree-1 component must have genus 0")
         # derived once; plain attributes, not fields, so eq, hash and
         # sort_key still see only the three fields
-        object.__setattr__(self, "node_profile", shape.node_profile)
-        object.__setattr__(self, "_branch_needs", tuple(
-            [2 * gi + off for gi, off in zip(genera, shape.offsets)]))
-        object.__setattr__(self, "display", shape.template % genera)
-
-    @property
-    def connected(self):
-        return len(self.degrees) == 1
-
-    @property
-    def arithmetic_genus(self):
-        return sum(self.genera) - (len(self.degrees) - 1)
+        needs = tuple([2 * gi + off for gi, off in zip(genera, shape.offsets)])
+        derive = object.__setattr__
+        derive(self, "node_profile", shape.node_profile)
+        derive(self, "_branch_needs", needs)
+        derive(self, "branch_total", sum(needs))
+        derive(self, "connected", len(genera) == 1)
+        derive(self, "arithmetic_genus", sum(genera) + 1 - len(genera))
+        derive(self, "display", shape.template % genera)
 
     def branch_needs(self):
         """Per-component simple branch counts forced by Riemann-Hurwitz."""
@@ -127,7 +131,7 @@ class FactorSpace:
 
 def stability_value(factor):
     """Left side of the stability inequality; admissible iff >= 2."""
-    return sum(factor.branch_needs())
+    return factor.branch_total
 
 
 @dataclass(frozen=True)
@@ -148,14 +152,12 @@ class StratumDescriptor:
         for side, j_side in ((self.side1, self.j), (self.side2, b - self.j)):
             if side.node_profile != self.node_profile:
                 raise ValueError("side profile does not match the node")
-            needs = side.branch_needs()
-            if any(n < 0 for n in needs) or sum(needs) != j_side:
+            if side.branch_total != j_side or min(side._branch_needs) < 0:
                 raise ValueError(
-                    f"Riemann-Hurwitz mismatch: side needs {needs}, "
-                    f"carries {j_side}")
-        ell = len(self.node_profile)
+                    f"Riemann-Hurwitz mismatch: side needs "
+                    f"{side._branch_needs}, carries {j_side}")
         total = (self.side1.arithmetic_genus + self.side2.arithmetic_genus
-                 + ell - 1)
+                 + len(self.node_profile) - 1)
         if total != self.genus_total:
             raise ValueError(f"genus consistency fails: {total} != "
                              f"{self.genus_total}")
@@ -234,6 +236,18 @@ def enumerate_codim1(g):
     return list(itertools.chain.from_iterable(codim1_by_split(g)))
 
 
+def codim1_count(g):
+    """len(enumerate_codim1(g)) in closed form: 4g + 2 - (g mod 2).
+
+    It is the sum of the per-family counts that
+    test_family_counts_closed_form in tests/test_strata.py derives by hand
+    from the family rules and checks against the enumeration.
+    """
+    if g < 0:
+        raise ValueError("genus must be nonnegative")
+    return 4 * g + 2 - g % 2
+
+
 def _strata_for_split(g, j):
     b = branch_count(g)
     mirror = 2 * j == b
@@ -258,16 +272,17 @@ def _strata_for_split(g, j):
 # -- brute-force oracle --
 
 
-def _oracle_side_configs(profile, j_side, g_cap):
-    """Rediscover side configurations without the family formulas.
+def _oracle_sides(profile, g_cap):
+    """Rediscover the sides over profile without the family formulas.
 
-    Iterates every degree shape, every distribution of the profile parts
-    onto components, and every genus tuple, keeping those whose forced
-    branch counts are nonnegative and sum to j_side.  Degree shapes with
-    no degree >= 2 component cannot appear (FactorSpace rejects them, and
-    they carry no branch points anyway).
+    One sweep tries every degree shape, every distribution of the profile
+    parts onto components, and every genus tuple up to g_cap, and keeps
+    the stable sides whose forced branch counts are nonnegative, listed by
+    their branch total.  Degree shapes with no degree >= 2 component
+    cannot appear (FactorSpace rejects them, and they carry no branch
+    points anyway).
     """
-    out = []
+    by_total = {}
     for degrees in ((3,), (2, 1)):
         for split_parts in _part_distributions(profile, degrees):
             genus_ranges = [range(g_cap + 1) if k > 1 else (0,)
@@ -280,12 +295,10 @@ def _oracle_side_configs(profile, j_side, g_cap):
                 needs = f.branch_needs()
                 if any(n < 0 for n in needs):
                     continue
-                if sum(needs) != j_side:
-                    continue
                 if stability_value(f) < 2:
                     continue
-                out.append(f)
-    return out
+                by_total.setdefault(sum(needs), []).append(f)
+    return by_total
 
 
 def _part_distributions(profile, degrees):
@@ -338,12 +351,13 @@ def oracle_enumerate(g):
         raise ValueError(f"oracle capped at genus {_ORACLE_GENUS_CAP}")
     b = branch_count(g)
     found = {}
-    for j in range(2, b - 1):
-        if j < b - j:
-            continue
-        for profile in _NODE_PROFILES:
-            for s1 in _oracle_side_configs(profile, j, g):
-                for s2 in _oracle_side_configs(profile, b - j, g):
+    for profile in _NODE_PROFILES:
+        sides = _oracle_sides(profile, g)
+        for j in range(2, b - 1):
+            if j < b - j:
+                continue
+            for s1 in sides.get(j, ()):
+                for s2 in sides.get(b - j, ()):
                     if j == b - j and s1.sort_key() > s2.sort_key():
                         continue
                     if not _connectable(s1, s2):

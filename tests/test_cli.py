@@ -296,21 +296,24 @@ class TestStrataCommand:
             assert code == 0
             assert counts["format_stratum"] == calls, fmt
 
-    def test_text_memory_bounded_by_split(self):
-        # without --oracle the text report holds one split at a time: five
-        # times the genus writes five times the text at the same peak
-        _strata_peak("--g", "0")  # first-call allocations, not measured
-        small, small_chars = _strata_peak("--g", "2000")
-        large, large_chars = _strata_peak("--g", "10000")
+    @staticmethod
+    def assert_bounded_by_split(*fmt):
+        # five times the genus writes five times the report at about the
+        # same peak
+        _strata_peak("--g", "0", *fmt)  # first-call allocations, not measured
+        small, small_chars = _strata_peak("--g", "2000", *fmt)
+        large, large_chars = _strata_peak("--g", "10000", *fmt)
         assert large_chars > 4 * small_chars
         assert large <= 2 * small, (small, large)
 
-    def test_json_memory_bounded_by_descriptors(self):
-        # the frozen key order puts count before the list, so JSON holds
-        # the descriptors, and nothing more that grows with them
-        descriptors = _traced_peak(lambda: enumerate_codim1(2000))
-        report, _ = _strata_peak("--g", "2000", "--format", "json")
-        assert report <= 1.5 * descriptors, (descriptors, report)
+    def test_text_memory_bounded_by_split(self):
+        # without --oracle the text report holds one split at a time
+        self.assert_bounded_by_split()
+
+    def test_json_memory_bounded_by_split(self):
+        # the count comes from its closed form, so without --oracle the
+        # JSON report too holds one split at a time, and no descriptor list
+        self.assert_bounded_by_split("--format", "json")
 
     def test_negative_genus_exits_2(self, capsys):
         code, _, err = run(capsys, "strata", "--g", "-1")
@@ -474,6 +477,30 @@ class TestJsonWriter:
         code, out, _ = run(capsys, "strata", "--g", "9", "--oracle")
         assert code == 1
         assert out.endswith("total: 37\noracle: MISMATCH\noverall: FAIL\n")
+
+    def test_count_mismatch_report(self, capsys, monkeypatch, schema):
+        # count is written before the list, from the closed form; a list
+        # that comes out short fails the report rather than being recounted
+        def drop_one(g):
+            splits = chowkit.strata.codim1_by_split(g)
+            yield next(splits)[1:]
+            yield from splits
+
+        monkeypatch.setattr(chowkit.cli, "codim1_by_split", drop_one)
+        code, out, err = run(capsys, "strata", "--g", "50", "--format", "json")
+        assert code == 1
+        assert "strata count mismatch: 202 counted, 201 written" in err
+        validate_report(schema, out)
+        payload = json.loads(out)
+        assert payload["overall-pass"] is False
+        block = payload["strata"]
+        assert (block["count"], len(block["strata"])) == (202, 201)
+        # --oracle writes the list it compared, whole, under the same count
+        code, out, err = run(capsys, "strata", "--g", "9", "--oracle",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        block = json.loads(out)["strata"]
+        assert block["count"] == len(block["strata"]) == 37
 
     @pytest.mark.parametrize("bad", [1.5, (1, 2), {"a": [0.0]}, {1: 2},
                                      {"a": {1, 2}}])

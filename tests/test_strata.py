@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import chowkit.strata
 from chowkit.strata import (FACTOR_FAMILIES, FactorSpace, StratumDescriptor,
-                            branch_count, classify_factor, enumerate_codim1,
-                            format_stratum, oracle_enumerate, quotient_group,
-                            stability_value)
+                            branch_count, classify_factor, codim1_count,
+                            enumerate_codim1, format_stratum,
+                            oracle_enumerate, quotient_group, stability_value)
 
 
 def H(degrees, genera, profiles):
@@ -173,6 +173,17 @@ class TestDescriptor:
             StratumDescriptor(
                 genus_total=9, j=7, node_profile=(2, 1),
                 side1=H([3], [2], [(2, 1)]),
+                side2=H([3], [1], [(2, 1)]),
+                quotient_group="trivial")
+
+    def test_riemann_hurwitz_sum(self):
+        # the profiles match the node, but side 1 needs 9 branch points
+        # and the split gives it 7
+        with pytest.raises(ValueError, match=r"Riemann-Hurwitz mismatch: "
+                           r"side needs \(9,\), carries 7"):
+            StratumDescriptor(
+                genus_total=4, j=7, node_profile=(2, 1),
+                side1=H([3], [3], [(2, 1)]),
                 side2=H([3], [1], [(2, 1)]),
                 quotient_group="trivial")
 
@@ -349,7 +360,7 @@ class TestEnumeration:
                 key = (s.node_profile, s.side1.connected, s.side2.connected)
                 got[key] = got.get(key, 0) + 1
             assert got == want, g
-            assert len(found) == 4 * g + 2 - g % 2, g
+            assert len(found) == codim1_count(g) == 4 * g + 2 - g % 2, g
 
     def test_double_split_simple_node_excluded(self):
         # a (2,1) node with both sides split disconnects the cover
@@ -361,6 +372,8 @@ class TestEnumeration:
     def test_negative_genus_rejected(self):
         with pytest.raises(ValueError):
             enumerate_codim1(-1)
+        with pytest.raises(ValueError):
+            codim1_count(-1)
 
 
 class TestOracle:
@@ -368,12 +381,31 @@ class TestOracle:
     def test_agrees(self, g):
         assert oracle_enumerate(g) == enumerate_codim1(g)
 
-    @pytest.mark.parametrize("g", [60, 120])
+    @pytest.mark.parametrize("g", [60, 120, 240])
     def test_agrees_past_cli_cap(self, g, monkeypatch):
-        # the cap guards the CLI against the quadratic search; tests may
-        # lift it
-        monkeypatch.setattr(chowkit.strata, "_ORACLE_GENUS_CAP", 120)
+        # the cap is part of the CLI's contract (--oracle past it is a
+        # usage error), not a bound the search needs; tests may lift it
+        monkeypatch.setattr(chowkit.strata, "_ORACLE_GENUS_CAP", 240)
         assert oracle_enumerate(g) == enumerate_codim1(g)
+
+    def test_work_is_linear(self, monkeypatch):
+        # one side sweep per node profile and call: the FactorSpace
+        # constructions grow with the genus, not with its square
+        monkeypatch.setattr(chowkit.strata, "_ORACLE_GENUS_CAP", 60)
+        built = []
+        init = FactorSpace.__post_init__
+
+        def counting(self):
+            built.append(None)
+            init(self)
+
+        monkeypatch.setattr(FactorSpace, "__post_init__", counting)
+        counts = {}
+        for g in (30, 60):
+            built.clear()
+            oracle_enumerate(g)
+            counts[g] = len(built)
+        assert counts[60] <= 2.2 * counts[30], counts
 
     def test_guard(self):
         with pytest.raises(ValueError):
@@ -406,6 +438,13 @@ class TestFactorIdentity:
         f = dataclasses.replace(H([3], [2], [(2, 1)]), genera=(5,))
         assert f.branch_needs() == (13,)
         assert f.node_profile == (2, 1)
+        assert (f.branch_total, f.connected, f.arithmetic_genus) == \
+            (13, True, 5)
+        f = dataclasses.replace(f, degrees=(2, 1), genera=(3, 0),
+                                profiles=((2,), (1,)))
+        assert (f.branch_total, f.connected, f.arithmetic_genus) == \
+            (7, False, 2)
+        assert f.display == "H(2,1;3,0;(2),(1))"
 
 
 class TestFamilies:
