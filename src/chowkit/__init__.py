@@ -5,7 +5,8 @@ integer-parameter coefficients, re-derives the divisor relations that
 hold on the ramification loci, certifies that the marked classes are
 rationally trivial, and enumerates the codimension-1 boundary strata of
 the compactified space.  All arithmetic is exact: coefficients live in
-Q[g] with Fraction coefficients, never floats.
+Q[g], stored as ints where integral in a non-constant polynomial and as
+Fractions otherwise, never floats.
 """
 
 __version__ = "0.1.0"

@@ -23,7 +23,8 @@ display included, filled in with one %.  The text after the list is
 rendered only once the list is written, so a count that differs from the
 number written fails the report.  Without --oracle both formats take the
 strata one split at a time, so no descriptor list and no string holding
-the whole list or report is kept; text keeps a running total.  A genus,
+the whole list or report is kept; text keeps a running total, and a total
+that differs from codim1_count fails the text report the same way.  A genus,
 the jet splitting degrees and the jet counts of a row spec are read as
 ASCII decimal digits only.
 """
@@ -243,6 +244,14 @@ def parse_g_spec(text):
 _STRATA_MARK = "\x00"
 
 
+def _check_count(report, count, written):
+    """Fail report, with the reason on stderr, when written != count."""
+    if written != count:
+        report.overall_pass = False
+        print(f"strata count mismatch: {count} counted, {written} written",
+              file=sys.stderr)
+
+
 def _emit(report, fmt, strata=None):
     """Print report; in JSON with strata, the splits of descriptors behind
     report.strata, whose list is _Json(_STRATA_MARK), are written in
@@ -256,12 +265,8 @@ def _emit(report, fmt, strata=None):
             return
         write = sys.stdout.write
         write(text.split(_STRATA_MARK)[0])
-        written = _write_strata(write, strata)
-        count = report.strata["count"]
-        if written != count:
-            report.overall_pass = False
-            print(f"strata count mismatch: {count} counted, {written} "
-                  f"written", file=sys.stderr)
+        _check_count(report, report.strata["count"],
+                     _write_strata(write, strata))
         write(report.to_json().split(_STRATA_MARK)[1] + "\n")
         return
     for v in report.verdicts:
@@ -365,6 +370,7 @@ def cmd_strata(args):
         for split in splits:
             write("".join([format_stratum(s) + "\n" for s in split]))
             total += len(split)
+        _check_count(report, codim1_count(g), total)
         print(f"total: {total}")
         if args.oracle:
             print("oracle: " + ("agrees" if agree else "MISMATCH"))

@@ -7,18 +7,23 @@ positive degree, and optionally attaches a "square rule" gen**2 -> rhs to
 some of them.  Normal forms are computed by a terminating rewrite system:
 every ruled generator appears with exponent at most 1 in a normal form.
 
-Coefficients are univariate polynomials in g with Fraction coefficients
-(ParamPoly).  No floats anywhere.  A sum or product in which either
-polynomial has more than one coefficient runs on Python ints: each operand
-is read as integer numerators over the lcm of its denominators (kept with
-the polynomial once computed, and 1 for integer polynomials), the integer
-lists are added or convolved, and each result coefficient becomes a
-Fraction once.  Constants (at most one coefficient on each side) keep
-Fraction arithmetic, and not for speed: a genus sweep, which is mostly
-constant arithmetic, runs faster through the kernel.  The Fraction path
-stays because a faster genus sweep uses up perfbench's genus-sweep windows
-and hangs (ROADMAP item 1); once that is fixed, int-backed coefficients
-replace both paths (ROADMAP item 2).
+Coefficients are univariate polynomials in g over Q (ParamPoly).  No
+floats anywhere.  A polynomial with two or more coefficients stores each
+integral coefficient as a Python int and every other one as a reduced
+Fraction; a constant (at most one coefficient) stores a Fraction.  Equal
+int and Fraction values print, compare and hash alike, so the split never
+shows in output; every division of coefficients goes through Fraction,
+since int / int is a float.  A sum or product in which either polynomial
+has more than one coefficient runs on Python ints: each operand is read as
+integer numerators over the lcm of its denominators (kept with the
+polynomial once computed, and 1 for integer polynomials), the integer
+lists are added or convolved, and a result with denominator 1 keeps the
+integers as its coefficients.  Constants (at most one coefficient on each
+side) keep Fraction arithmetic, and not for speed: a genus sweep, which is
+mostly constant arithmetic, runs faster through the kernel.  The Fraction
+path stays because a faster genus sweep uses up perfbench's genus-sweep
+windows and hangs (ROADMAP item 1); once that is fixed, constants store
+ints too and plain int arithmetic replaces both paths (ROADMAP item 2).
 
 Every square rule is homogeneous (checked at construction), so a rewrite
 never changes the degree of a monomial.  A product of monomials of degrees
@@ -54,7 +59,12 @@ def _as_fraction(x):
 
 
 class ParamPoly:
-    """Polynomial in the parameter g over Q, dense little-endian tuple."""
+    """Polynomial in the parameter g over Q, dense little-endian tuple.
+
+    With two or more coefficients, an integral coefficient is an int and
+    any other a Fraction with denominator > 1; a constant's coefficient is
+    a Fraction.  No coefficient is ever a float.
+    """
 
     __slots__ = ("coeffs", "_ints")
 
@@ -62,14 +72,16 @@ class ParamPoly:
         cs = [_as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
+        if len(cs) > 1:
+            cs = [c.numerator if c.denominator == 1 else c for c in cs]
         self.coeffs = tuple(cs)
         self._ints = None
 
     def _integer_form(self):
         """(numerators, d) with coeffs[i] == numerators[i] / d.
 
-        d is the lcm of the coefficients' (reduced) denominators.  Filled
-        on first use, or by _from_integers.
+        d is the lcm of the coefficients' (reduced) denominators, 1 when
+        all are ints.  Filled on first use, or by _from_integers.
         """
         if self._ints is None:
             d = lcm(*[c.denominator for c in self.coeffs])
@@ -79,18 +91,27 @@ class ParamPoly:
 
     @classmethod
     def _from_integers(cls, nums, d):
-        """The polynomial sum(nums[i] / d * g**i); consumes nums."""
+        """The polynomial sum(nums[i] / d * g**i); consumes nums.
+
+        A non-constant result keeps the ints themselves when the common
+        denominator reduces to 1, and otherwise makes a Fraction only of
+        the coefficients d does not divide; a constant is a Fraction.
+        """
         while nums and not nums[-1]:
             nums.pop()
         out = cls.__new__(cls)
-        if d == 1:
-            out.coeffs = tuple(map(Fraction, nums))
-        else:
+        if d != 1:
             common = gcd(d, *nums)
             if common != 1:
                 d //= common
                 nums = [n // common for n in nums]
+        if len(nums) <= 1:
             out.coeffs = tuple(Fraction(n, d) for n in nums)
+        elif d == 1:
+            out.coeffs = tuple(nums)
+        else:
+            out.coeffs = tuple(Fraction(n, d) if n % d else n // d
+                               for n in nums)
         out._ints = (nums, d)
         return out
 
@@ -125,7 +146,7 @@ class ParamPoly:
     def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.coeffs[-1])
 
     def term_count(self):
         return sum(1 for c in self.coeffs if c != 0)
@@ -223,7 +244,7 @@ class ParamPoly:
             if len(rem) - 1 < d:
                 break
             k = len(rem) - 1 - d
-            f = rem[-1] / lead
+            f = Fraction(rem[-1]) / lead
             quo[k] = f
             for i, c in enumerate(other.coeffs):
                 rem[k + i] -= f * c
@@ -258,7 +279,7 @@ class ParamPoly:
         if self.degree == 0:
             return []
         if self.degree == 1:
-            root = -self.coeffs[0] / self.coeffs[1]
+            root = Fraction(-self.coeffs[0]) / self.coeffs[1]
             return [int(root)] if root >= 0 and root.denominator == 1 else []
         roots = [0] if self.coeffs[0] == 0 else []
         gcd, rest = self, self._derivative()

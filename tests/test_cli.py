@@ -256,6 +256,30 @@ class TestStrataCommand:
         assert code == 0
         assert "oracle: agrees" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_count_mismatch_fails_the_report(self, capsys, monkeypatch, fmt):
+        # an enumeration one stratum short of codim1_count fails both
+        # formats, with and without --oracle
+        def drop_one(g):
+            splits = chowkit.strata.codim1_by_split(g)
+            yield next(splits)[1:]
+            yield from splits
+
+        monkeypatch.setattr(chowkit.cli, "codim1_by_split", drop_one)
+        monkeypatch.setattr(chowkit.cli, "enumerate_codim1",
+                            lambda g: [s for part in drop_one(g) for s in part])
+        for args, count in ((("--g", "50"), 202),
+                            (("--g", "9", "--oracle"), 37)):
+            code, out, err = run(capsys, "strata", *args, "--format", fmt)
+            assert code == 1, args
+            assert (f"strata count mismatch: {count} counted, {count - 1} "
+                    f"written\n") in err
+            if fmt == "text":
+                assert f"\ntotal: {count - 1}\n" in out
+                assert out.endswith("overall: FAIL\n")
+            else:
+                assert json.loads(out)["overall-pass"] is False
+
     def test_oracle_guard_exits_2(self, capsys):
         code, _, err = run(capsys, "strata", "--g", "31", "--oracle")
         assert code == 2

@@ -1,6 +1,7 @@
 """Unit tests for the graded ring core: coefficients, presentations,
 normalization, and the canonical string format."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -398,3 +399,44 @@ class TestConfluence:
                   "(zeta_p - a1)*(z + a2p)*zeta_p"]
         for text in probes:
             assert pe.parse(text).canonical() == alt.parse(text).canonical()
+
+
+class TestDeepPowers:
+    """x**T on X111 for x = sum of c_i * generator_i with c_i in Z[g], as
+    the benchmark's deep-truncation workload builds it, for two fixed sign
+    choices.  The hashes are of the canonical strings before non-constant
+    coefficients were stored as ints."""
+
+    SIGNS = {(1, 1, 1, 1, 1, 1): {
+        8: "95bcb3df7b48722794dba6af964a9cca2156f4697138999ac67a8ccc0fee1aca",
+        10: "80bc3938aae11205d3bb88345a84bfd60a5f0ebb2605ae8c226702f7d597db01",
+        12: "9a096ea576b84b3b6d99fa4412477462f8b70ffdbd9805e300e2981d010128bd",
+    }, (-1, 1, -1, -1, 1, -1): {
+        8: "6c7d510356c7df8d97ed5568db04e4aaaa35b45b37785042512a93235047e486",
+        10: "b11777733a4a8666b71498caf107d6dcde917e1867197422cbe01828d71b30cc",
+        12: "6fd3c9b22ea848f0bc811d1c1941acfad97d87125072dc7e16ca1bf4fe958177",
+    }}
+
+    @staticmethod
+    def deep_x(s, truncation):
+        from chowkit.spaces import build_space
+        coeffs = {"zeta_p": (s[0], 0), "zeta_q": (2 * s[1], 0),
+                  "z": (2 * s[3], s[2]), "a1": (3 * s[4], 0),
+                  "a2p": (s[5], 0)}
+        ctx = build_space("X111", truncation=truncation)
+        x = ctx.zero()
+        for name, (c0, c1) in coeffs.items():
+            x = x + ctx.gen(name) * (G * c1 + c0)
+        return x
+
+    @pytest.mark.parametrize("signs", list(SIGNS))
+    def test_canonical_hashes(self, signs):
+        for t, want in self.SIGNS[signs].items():
+            power = self.deep_x(signs, t) ** t
+            text = power.canonical().encode()
+            assert hashlib.sha256(text).hexdigest() == want, t
+        # the integer kernel hands its ints to the result: no coefficient
+        # of a non-constant is a Fraction with denominator 1
+        polys = [c for c in power.terms.values() if not c.is_const()]
+        assert polys
+        assert all(type(c) is int for p in polys for c in p.coeffs)

@@ -5,10 +5,10 @@ integer coefficients so products stay inside the truncation window.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from chowkit.ring import ChowElement, G, Generator, ParamPoly, RingPresentation
 from chowkit.spaces import build_space
@@ -191,9 +191,11 @@ def _integer_form(coeffs):
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
-rationals = st.builds(Fraction,
-                      st.integers(min_value=-10**40, max_value=10**40),
-                      st.integers(min_value=1, max_value=12))
+rationals = st.one_of(
+    st.integers(min_value=-10**40, max_value=10**40),
+    st.builds(Fraction,
+              st.integers(min_value=-10**40, max_value=10**40),
+              st.integers(min_value=1, max_value=12)))
 
 
 @st.composite
@@ -213,17 +215,36 @@ def rational_pairs(draw):
     return p, q
 
 
+def _assert_stored_form(p):
+    """No float and no trailing zero; a non-constant stores its integral
+    coefficients as ints and the others as Fractions with denominator > 1;
+    a constant stores a Fraction."""
+    assert not any(isinstance(c, float) for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    if len(p.coeffs) <= 1:
+        assert all(type(c) is Fraction for c in p.coeffs)
+    else:
+        assert all(type(c) is int
+                   or (type(c) is Fraction and c.denominator > 1)
+                   for c in p.coeffs)
+
+
 def _assert_normal(got, want):
     assert got.coeffs == want.coeffs
-    assert all(type(c) is Fraction for c in got.coeffs)
-    assert not got.coeffs or got.coeffs[-1] != 0
+    _assert_stored_form(got)
     if got._ints is not None:
         assert got._ints == _integer_form(got.coeffs)
     assert got._integer_form() == _integer_form(got.coeffs)
 
 
 @given(rational_pairs())
+@example((ParamPoly([1, 2]), ParamPoly([3, 4])))
+@example((ParamPoly([1, 2]), ParamPoly([-1, -2])))
+@example((ParamPoly([Fraction(1, 2), 3]), ParamPoly([Fraction(1, 2), 1])))
+@example((ParamPoly([5]), ParamPoly([0, Fraction(2, 3)])))
 def test_integer_kernel_matches_fraction_arithmetic(pair):
+    _assert_stored_form(pair[0])
+    _assert_stored_form(pair[1])
     p, q = pair
     _assert_normal(p + q, _fraction_add(p, q))
     _assert_normal(p - q, _fraction_add(p, ParamPoly(-c for c in q.coeffs)))
@@ -231,6 +252,106 @@ def test_integer_kernel_matches_fraction_arithmetic(pair):
     # a second use reads the stored integer forms of the operands
     _assert_normal((p * q) * p, _fraction_mul(_fraction_mul(p, q), p))
     _assert_normal((p + q) + q, _fraction_add(_fraction_add(p, q), q))
+
+
+# -- division, evaluation and roots keep the stored form, with no float --
+
+
+def _ref_trim(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_divmod(a, b):
+    """Long division of Fraction lists, b's last entry nonzero."""
+    rem = list(a)
+    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(_ref_trim(rem)) >= len(b):
+        k = len(rem) - len(b)
+        f = rem[-1] / b[-1]
+        quo[k] = f
+        for i, c in enumerate(b):
+            rem[k + i] -= f * c
+    return _ref_trim(quo), rem
+
+
+def _ref_eval(cs, x):
+    return sum((c * x ** i for i, c in enumerate(cs)), Fraction(0))
+
+
+def _ref_roots(cs):
+    """Integer roots n >= 0 by the rational root theorem: with denominators
+    cleared and g**k factored out, a positive root divides the lowest
+    coefficient; candidates come from trial division to its square root."""
+    low = next(n for n in _integer_form(cs)[0] if n)
+    candidates = {0}
+    for n in range(1, isqrt(abs(low)) + 1):
+        if low % n == 0:
+            candidates.update((n, abs(low) // n))
+    return sorted(n for n in candidates if _ref_eval(cs, n) == 0)
+
+
+small_rationals = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.builds(Fraction, st.integers(min_value=-30, max_value=30),
+              st.integers(min_value=1, max_value=6)))
+
+
+@st.composite
+def factored_polys(draw):
+    """A polynomial of length 0-3 times 0-3 factors a*g - b, so that
+    integer, rational, negative and repeated roots turn up."""
+    p = ParamPoly(draw(st.lists(small_rationals, max_size=3)))
+    factors = st.tuples(st.integers(min_value=1, max_value=3),
+                        st.integers(min_value=-8, max_value=15))
+    for a, b in draw(st.lists(factors, max_size=3)):
+        p = p * ParamPoly([-b, a])
+    return p
+
+
+def _assert_value(got, want):
+    """got is a ParamPoly in stored form whose coefficients equal want."""
+    _assert_stored_form(got)
+    assert list(got.coeffs) == want
+
+
+@given(factored_polys(), factored_polys(), small_rationals)
+@example(ParamPoly([1, 2]), ParamPoly([3, 4]), 2)
+@example(ParamPoly([-6, 2]), ParamPoly([3]), Fraction(1, 2))
+@example(ParamPoly([-7, 2]), ParamPoly([1, 1, 1]), -1)
+def test_division_paths_match_fraction_reference(p, q, x):
+    a = [Fraction(c) for c in p.coeffs]
+    b = [Fraction(c) for c in q.coeffs]
+    _assert_stored_form(p)
+    _assert_value(-p, [-c for c in a])
+    _assert_value(p._derivative(), [i * c for i, c in enumerate(a)][1:])
+    if a:
+        assert type(p.leading()) is Fraction and p.leading() == a[-1]
+    if len(a) <= 1:
+        value = p.const_value()
+        assert type(value) is Fraction and value == (a[0] if a else 0)
+    else:
+        with pytest.raises(ValueError):
+            p.const_value()
+    value = p(x)
+    assert type(value) is Fraction and value == _ref_eval(a, Fraction(x))
+    if b:
+        quo, rem = p.divmod(q)
+        want_quo, want_rem = _ref_divmod(a, b)
+        _assert_value(quo, want_quo)
+        _assert_value(rem, want_rem)
+        _assert_value((p * q).exact_div(q), a)
+        if want_rem:
+            with pytest.raises(ValueError, match="inexact"):
+                p.exact_div(q)
+        else:
+            _assert_value(p.exact_div(q), want_quo)
+    if a:
+        assert p.nonneg_integer_roots() == _ref_roots(a)
+    else:
+        with pytest.raises(ValueError):
+            p.nonneg_integer_roots()
 
 
 def test_constant_arithmetic_bypasses_the_kernel(monkeypatch):
