@@ -12,13 +12,12 @@ Fractions otherwise, never floats.
 __version__ = "0.1.0"
 
 from .bundles import (BundleClass, JetPoint, SplittingType, excess_class,
-                      in_locus_B, jet_matrix, jet_rank, p1_cohomology,
-                      principal_parts_chern, splitting_sym3)
+                      in_locus_B, jet_rank, principal_parts_chern,
+                      splitting_sym3)
 from .ring import ChowElement, Generator, ParamPoly, RingPresentation
 from .spaces import SPACE_IDS, SpaceContext, build_space, diagonal, lift, pushforward
 from .strata import (FactorSpace, StratumDescriptor, branch_count, classify_factor,
-                     enumerate_codim1, format_stratum, oracle_enumerate,
-                     stability_value)
+                     enumerate_codim1, format_stratum, oracle_enumerate)
 from .verify import (ChainReport, LemmaId, StageFailure, TrivialityReport,
                      TruncationTooLow, Verdict, relation_matrix, tt_chain,
                      triviality_check, verify_all, verify_relation)
@@ -26,14 +25,12 @@ from .verify import (ChainReport, LemmaId, StageFailure, TrivialityReport,
 __all__ = [
     "__version__",
     "BundleClass", "JetPoint", "SplittingType", "excess_class",
-    "in_locus_B", "jet_matrix", "jet_rank", "p1_cohomology",
-    "principal_parts_chern", "splitting_sym3",
+    "in_locus_B", "jet_rank", "principal_parts_chern", "splitting_sym3",
     "ChowElement", "Generator", "ParamPoly", "RingPresentation",
     "SPACE_IDS", "SpaceContext", "build_space", "diagonal", "lift",
     "pushforward",
     "FactorSpace", "StratumDescriptor", "branch_count", "classify_factor",
     "enumerate_codim1", "format_stratum", "oracle_enumerate",
-    "stability_value",
     "ChainReport", "LemmaId", "StageFailure", "TrivialityReport",
     "TruncationTooLow", "Verdict",
     "relation_matrix", "tt_chain",

@@ -1,9 +1,9 @@
 """Chern-class calculus and fiberwise jet evaluation.
 
 BundleClass is a formal vector bundle: a rank plus a total Chern class
-living in some RingPresentation.  Whitney products, duals, line twists,
-truncated inverses, principal-parts bundles and excess classes are all
-polynomial identities in the Chern classes, so they stay exact.
+living in some RingPresentation.  Whitney products, truncated inverses,
+principal-parts bundles and excess classes are all polynomial identities
+in the Chern classes, so they stay exact.
 
 The second half of the module handles rank-2 splitting types on P^1 and
 the jet-evaluation matrices used to test whether point conditions on a
@@ -56,10 +56,6 @@ class BundleClass:
         raise AttributeError("BundleClass is immutable")
 
     @classmethod
-    def trivial(cls, ring, rank=1):
-        return cls(rank, ring.one())
-
-    @classmethod
     def line(cls, c1):
         return cls(1, c1.ring.one() + c1)
 
@@ -79,28 +75,6 @@ class BundleClass:
         if other.ring != self.ring:
             raise ValueError("bundles live in different rings")
         return BundleClass(self.rank + other.rank, self.total * other.total)
-
-    def dual(self):
-        flipped = self.ring.zero()
-        for d, piece in self.total.graded_pieces():
-            flipped = flipped + piece * ((-1) ** d)
-        return BundleClass(self.rank, flipped)
-
-    def tensor_line(self, line_c1):
-        """Chern classes of E tensor L for a line bundle with c1 = line_c1."""
-        if line_c1.ring != self.ring:
-            raise ValueError("twist class lives in a different ring")
-        r = self.ring
-        cap = r.truncation_degree
-        top = self.rank if cap is None else min(self.rank, cap)
-        out = r.zero()
-        for k in range(top + 1):
-            piece = r.zero()
-            for i in range(k + 1):
-                piece = piece + comb(self.rank - i, k - i) \
-                    * self.c(i) * line_c1 ** (k - i)
-            out = out + piece
-        return BundleClass(self.rank, out)
 
     def inverse_total(self, upto=None):
         """Formal inverse of the total Chern class, up to truncation.
@@ -192,11 +166,6 @@ def splitting_sym3(m, n):
     return [2 * m - n, m, n, 2 * n - m]
 
 
-def p1_cohomology(d):
-    """(h0, h1) of O(d) on P^1."""
-    return (max(0, d + 1), max(0, -d - 1))
-
-
 def in_locus_B(m, n):
     """Whether the leading cubic coefficient has nonnegative degree."""
     return 2 * m - n >= 0
@@ -209,7 +178,7 @@ def in_locus_B(m, n):
 class JetPoint:
     """Point condition: jets rows of vanishing at x, fiber position y.
 
-    y=None asks for a generic fiber position: jet_matrix gives the point an
+    y=None asks for a generic fiber position: jet_rank gives the point an
     indeterminate y, so ranks are taken over Q(y).  on_directrix puts the
     point at y = infinity, where the cubic is read in the w = 1/y chart.
     """
@@ -224,12 +193,6 @@ class JetPoint:
             raise ValueError("need at least one jet row")
         if self.on_directrix and self.y is not None:
             raise ValueError("a directrix point has no finite y")
-
-
-def default_3p3q():
-    """Two full second-order jets: p at x=0 on the zero section, q generic."""
-    return (JetPoint(x=Fraction(0), jets=3, y=Fraction(0)),
-            JetPoint(x=Fraction(1), jets=3))
 
 
 def _jet_rows(points, widths, same_fiber):
@@ -264,30 +227,25 @@ def _jet_rows(points, widths, same_fiber):
     return rows
 
 
-def jet_matrix(m, n, points, same_fiber=False):
-    """Jet-evaluation matrix for the cubic's coefficient space.
+def jet_rank(m, n, points=None, same_fiber=False):
+    """((rows, cols), rank) of the jet-evaluation matrix of the cubic.
 
     Columns: monomials x**t in each coefficient block (a, b, c, d), skipping
     blocks of negative degree.  Rows: for each point, its divided y-jets
-    of order 0..jets-1.  The i-th point with y=None gets the polynomial
-    fiber position y = G**(7**i), so its entries are ParamPoly.  A point's
-    k-th row has y-degree at most 3 - k, so a minor has degree at most
-    3 + 2 + 1 = 6 in each point's y, and this Kronecker substitution keeps
-    every nonzero minor nonzero: ranks over Q(G) are the generic ranks
-    over Q(y).
-    """
-    widths = [max(0, d + 1) for d in splitting_sym3(m, n)]
-    return _jet_rows(points, widths, same_fiber)
+    of order 0..jets-1.  The default points are two full second-order
+    jets: p at x=0 on the zero section, q at x=1 generic.
 
-
-def jet_rank(m, n, points=None, same_fiber=False):
-    """((rows, cols), rank) of the jet matrix at generic fiber positions.
-
-    The rank is exact over Q(y) for the points with y=None (see jet_matrix).
-    It is taken on a narrow matrix of the same rank; the shape is the full one.
+    The i-th point with y=None gets the polynomial fiber position
+    y = G**(7**i), so its entries are ParamPoly.  A point's k-th row has
+    y-degree at most 3 - k, so a minor has degree at most 3 + 2 + 1 = 6 in
+    each point's y, and this Kronecker substitution keeps every nonzero
+    minor nonzero: ranks over Q(G) are the generic ranks over Q(y).  The
+    rank is taken on a narrow matrix of the same rank; the shape is the
+    full one.
     """
     if points is None:
-        points = default_3p3q()
+        points = (JetPoint(x=Fraction(0), jets=3, y=Fraction(0)),
+                  JetPoint(x=Fraction(1), jets=3))
     widths = [max(0, d + 1) for d in splitting_sym3(m, n)]
     # In block b, column t is x**t times a factor of the row.  With k
     # distinct x among the points, the columns t < k carry an invertible

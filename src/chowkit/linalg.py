@@ -18,11 +18,6 @@ def _poly_rows(rows):
     return [[ParamPoly.coerce(x) for x in row] for row in rows]
 
 
-def _check_rect(rows):
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix")
-
-
 def _eliminate(rows, usable):
     """Fraction-free Gaussian elimination (Bareiss); (rank, sign, pivot).
 
@@ -35,7 +30,8 @@ def _eliminate(rows, usable):
     sign is the parity of the row swaps.  Raises ValueError when nonzero
     entries remain but none is usable.
     """
-    _check_rect(rows)
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
     m = _poly_rows(rows)
     free_cols = list(range(len(m[0]) if m else 0))
     rank, sign, prev = 0, 1, ParamPoly.const(1)
@@ -129,13 +125,3 @@ def param_rank(rows):
     prove is a failed certificate, never a sampled one.
     """
     return _eliminate(rows, ParamPoly.nonvanishing_for_nonneg_g)[0]
-
-
-def rank_at_samples(rows, g_values):
-    """dict g -> rank of the matrix with g specialized to each sample."""
-    _check_rect(rows)
-    m = _poly_rows(rows)
-    out = {}
-    for gv in g_values:
-        out[gv] = rank_fraction([[p(gv) for p in row] for row in m])
-    return out

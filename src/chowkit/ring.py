@@ -515,37 +515,6 @@ class RingPresentation:
         exps = tuple(1 if j == i else 0 for j in range(len(self.generators)))
         return ChowElement(self, {exps: ParamPoly.const(1)})
 
-    def monomials_of_degree(self, d):
-        """All normal-form monomials of total degree d, canonically sorted.
-
-        Ruled generators are capped at exponent 1 (anything larger is not a
-        normal form); free generators range as far as the degree allows.
-        """
-        if d < 0:
-            return []
-        caps = []
-        for gq in self.generators:
-            if gq.name in self.square_rules:
-                caps.append(min(1, d // gq.degree))
-            else:
-                caps.append(d // gq.degree)
-        found = []
-
-        def rec(i, remaining, acc):
-            if i == len(self.generators):
-                if remaining == 0:
-                    found.append(tuple(acc))
-                return
-            deg = self.degrees[i]
-            for e in range(min(caps[i], remaining // deg) + 1):
-                acc.append(e)
-                rec(i + 1, remaining - e * deg, acc)
-                acc.pop()
-
-        rec(0, d, [])
-        found.sort(key=self._sort_key)
-        return found
-
     def parse(self, text):
         return _Parser(self, text).parse()
 

@@ -33,7 +33,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import G, Generator, ParamPoly, RingPresentation
+from .ring import G, Generator, ParamPoly, RingPresentation, _as_fraction
 
 #: space -> (zetas, space one step below); B has no z, marked by None
 _TOWER = {
@@ -166,7 +166,8 @@ _CACHE = {}
 def build_space(space_id, g=None, truncation=None):
     """SpaceContext for one of B, P, PE, X3, X111, Xtilde3.
 
-    g=None keeps the genus symbolic; an int or Fraction specializes it.
+    g=None keeps the genus symbolic; an int or Fraction specializes it,
+    and any other type (a float) raises TypeError.
     Contexts are cached per (space, g, truncation): the symbolic ones all
     stay, specialized ones only for the most recent genus, so a long sweep
     over g does not grow the cache.
@@ -177,7 +178,7 @@ def build_space(space_id, g=None, truncation=None):
     if truncation is None:
         truncation = _truncation_from_env()
     if g is not None:
-        g = Fraction(g)
+        g = _as_fraction(g)
     key = (space_id, g, truncation)
     hit = _CACHE.get(key)
     if hit is not None:

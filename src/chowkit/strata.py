@@ -91,6 +91,8 @@ class FactorSpace:
     """One side of a stratum: components with genera and node profiles.
 
     The fields are tuples, each profile a tuple too, so that sides hash.
+    branch_needs holds the per-component simple branch counts forced by
+    Riemann-Hurwitz, and branch_total their sum.
     """
 
     degrees: tuple
@@ -115,23 +117,14 @@ class FactorSpace:
         needs = tuple([2 * gi + off for gi, off in zip(genera, shape.offsets)])
         derive = object.__setattr__
         derive(self, "node_profile", shape.node_profile)
-        derive(self, "_branch_needs", needs)
+        derive(self, "branch_needs", needs)
         derive(self, "branch_total", sum(needs))
         derive(self, "connected", len(genera) == 1)
         derive(self, "arithmetic_genus", sum(genera) + 1 - len(genera))
         derive(self, "display", shape.template % genera)
 
-    def branch_needs(self):
-        """Per-component simple branch counts forced by Riemann-Hurwitz."""
-        return self._branch_needs
-
     def sort_key(self):
         return (len(self.degrees), self.degrees, self.genera, self.profiles)
-
-
-def stability_value(factor):
-    """Left side of the stability inequality; admissible iff >= 2."""
-    return factor.branch_total
 
 
 @dataclass(frozen=True)
@@ -152,10 +145,10 @@ class StratumDescriptor:
         for side, j_side in ((self.side1, self.j), (self.side2, b - self.j)):
             if side.node_profile != self.node_profile:
                 raise ValueError("side profile does not match the node")
-            if side.branch_total != j_side or min(side._branch_needs) < 0:
+            if side.branch_total != j_side or min(side.branch_needs) < 0:
                 raise ValueError(
                     f"Riemann-Hurwitz mismatch: side needs "
-                    f"{side._branch_needs}, carries {j_side}")
+                    f"{side.branch_needs}, carries {j_side}")
         total = (self.side1.arithmetic_genus + self.side2.arithmetic_genus
                  + len(self.node_profile) - 1)
         if total != self.genus_total:
@@ -292,12 +285,13 @@ def _oracle_sides(profile, g_cap):
                     f = FactorSpace(degrees, tuple(genera), split_parts)
                 except ValueError:
                     continue
-                needs = f.branch_needs()
-                if any(n < 0 for n in needs):
+                if any(n < 0 for n in f.branch_needs):
                     continue
-                if stability_value(f) < 2:
+                # a side is stable when it carries at least two branch
+                # points
+                if f.branch_total < 2:
                     continue
-                by_total.setdefault(sum(needs), []).append(f)
+                by_total.setdefault(f.branch_total, []).append(f)
     return by_total
 
 

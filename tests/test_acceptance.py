@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from chowkit.bundles import JetPoint, SplittingType, in_locus_B, jet_rank
-from chowkit.linalg import rank_at_samples
+from sampled_rank import rank_at_samples
 from chowkit.ring import ChowElement
 from chowkit.spaces import build_space, lift, pushforward
 from chowkit.strata import (FACTOR_FAMILIES, branch_count, classify_factor,

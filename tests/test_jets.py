@@ -7,13 +7,14 @@ on it; a generic fiber coordinate is an indeterminate, so ranks are exact.
 
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from chowkit import linalg
-from chowkit.bundles import (JetPoint, SplittingType, in_locus_B, jet_matrix,
-                             jet_rank, p1_cohomology, splitting_sym3)
+from chowkit import bundles, linalg
+from chowkit.bundles import (JetPoint, SplittingType, in_locus_B, jet_rank,
+                             splitting_sym3)
 from chowkit.ring import G, ParamPoly
 
 F = Fraction
@@ -36,13 +37,6 @@ def test_splitting_sym3():
     assert splitting_sym3(1, 5) == [-3, 1, 5, 9]
 
 
-def test_p1_cohomology():
-    assert p1_cohomology(3) == (4, 0)
-    assert p1_cohomology(0) == (1, 0)
-    assert p1_cohomology(-1) == (0, 0)
-    assert p1_cohomology(-3) == (0, 2)
-
-
 def test_in_locus_B():
     assert in_locus_B(2, 4)       # 2m - n = 0, borderline
     assert in_locus_B(3, 3)
@@ -62,12 +56,11 @@ def test_jet_point_validation():
 
 def test_jet_matrix_shape_and_first_row():
     pts = (JetPoint(F(0), 3, y=F(0)), JetPoint(F(1), 3, y=F(1)))
-    m = jet_matrix(2, 4, pts)
     # columns: h^0 of [0, 2, 4, 6] -> 1 + 3 + 5 + 7 = 16
-    assert len(m) == 6
-    assert all(len(row) == 16 for row in m)
-    # value row at x=0, y=0: only the constant coefficient of each
-    # block contributes, with y-powers 3, 2, 1, 0 -> only block d
+    assert jet_rank(2, 4, pts)[0] == (6, 16)
+    # the oracle's value row at x=0, y=0: only the constant coefficient
+    # of each block contributes, with y-powers 3, 2, 1, 0 -> only block d
+    m = _reference_jet_matrix(2, 4, pts)
     assert m[0][:9] == [0] * 9
     assert m[0][9] == 1
 
@@ -75,8 +68,8 @@ def test_jet_matrix_shape_and_first_row():
 def test_jet_matrix_same_fiber_guard():
     pts = (JetPoint(F(0), 3, y=F(0)), JetPoint(F(0), 3, y=F(1)))
     with pytest.raises(ValueError):
-        jet_matrix(2, 4, pts)
-    jet_matrix(2, 4, pts, same_fiber=True)
+        jet_rank(2, 4, pts)
+    jet_rank(2, 4, pts, same_fiber=True)
 
 
 @pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (3, 4), (2, 3), (4, 4)])
@@ -146,7 +139,11 @@ def test_jet_rank_products_bounded_by_capped_widths(monkeypatch):
 
 
 def _reference_jet_matrix(m, n, points):
-    """jet_matrix as first written: every entry multiplied on its own."""
+    """The full jet matrix, every entry multiplied on its own.
+
+    It shares no code with jet_rank's row builder, so it is the oracle
+    for jet_rank's shape, its rank and the matrix it eliminates.
+    """
     blocks = [max(0, d + 1) for d in splitting_sym3(m, n)]
     rows, free = [], 0
     for pt in points:
@@ -178,11 +175,27 @@ _POINTS = st.lists(st.builds(
 @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0,
        max_value=9), _POINTS)
 def test_jet_matrix_matches_entrywise_build(a, b, points):
+    # a generic rank rarely notices a wrong entry, so the matrix jet_rank
+    # eliminates is checked entrywise: the reference's rows of jet order
+    # < 4 and, in each block, one leading column per distinct x
     m, n = min(a, b), max(a, b)
-    got = jet_matrix(m, n, points, same_fiber=True)
-    want = _reference_jet_matrix(m, n, points)
-    assert got == want
-    assert [[type(e) for e in row] for row in got] == \
+    full = _reference_jet_matrix(m, n, points)
+    narrow = []
+
+    def spy(rows):
+        narrow.append(rows)
+        return linalg.rank_fraction(rows)
+
+    with mock.patch.object(bundles, "rank_fraction", spy):
+        jet_rank(m, n, points, same_fiber=True)
+    k = len({p.x for p in points})
+    widths = [max(0, d + 1) for d in splitting_sym3(m, n)]
+    cols = [sum(widths[:bi]) + t for bi, w in enumerate(widths)
+            for t in range(min(w, k))]
+    orders = [j for p in points for j in range(p.jets)]
+    want = [[row[c] for c in cols] for row, j in zip(full, orders) if j < 4]
+    assert narrow == [want]
+    assert [[type(e) for e in row] for row in narrow[0]] == \
         [[type(e) for e in row] for row in want]
 
 
@@ -191,7 +204,7 @@ def test_jet_matrix_matches_entrywise_build(a, b, points):
 def test_jet_rank_matches_full_matrix(a, b, points):
     # jets up to 6 reach past the row cap of 4 per point
     m, n = min(a, b), max(a, b)
-    full = jet_matrix(m, n, points, same_fiber=True)
+    full = _reference_jet_matrix(m, n, points)
     assert jet_rank(m, n, points, same_fiber=True) == \
         ((len(full), len(full[0])), linalg._eliminate(full, bool)[0])
 

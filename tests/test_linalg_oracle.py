@@ -17,9 +17,10 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from chowkit.bundles import JetPoint, jet_rank, splitting_sym3  # noqa: E402
 from chowkit.linalg import (bareiss_det, param_rank,  # noqa: E402
-                            rank_at_samples, rank_fraction)
+                            rank_fraction)
 from chowkit.ring import ParamPoly  # noqa: E402
 from chowkit.spaces import build_space  # noqa: E402
+from sampled_rank import rank_at_samples  # noqa: E402
 
 F = Fraction
 GS = sympy.Symbol("g")

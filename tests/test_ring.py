@@ -199,17 +199,6 @@ class TestPresentation:
             pe = pe_ring()
             pe.with_rewrite_order(("zeta_p",))
 
-    def test_monomials_of_degree(self):
-        pe = pe_ring()
-        # exponent tuples, canonical order: zeta_p, z, a1, a2p
-        assert pe.monomials_of_degree(1) == [
-            (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
-            (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0)]
-        # ruled generators capped at exponent 1
-        for exps in pe.monomials_of_degree(2):
-            assert exps[0] <= 1 and exps[1] <= 1
-        assert pe.monomials_of_degree(-1) == []
-
     def test_specialize_caches(self):
         pe = pe_ring()
         assert pe.specialize(4) is pe.specialize(4)

@@ -11,7 +11,7 @@ import chowkit.strata
 from chowkit.strata import (FACTOR_FAMILIES, FactorSpace, StratumDescriptor,
                             branch_count, classify_factor, codim1_count,
                             enumerate_codim1, format_stratum,
-                            oracle_enumerate, quotient_group, stability_value)
+                            oracle_enumerate, quotient_group)
 
 
 def H(degrees, genera, profiles):
@@ -47,11 +47,11 @@ class TestFactorSpace:
     def test_branch_needs(self):
         # 2g - 2 + 2k - sum(mu_i - 1) per component
         f = H([3], [0], [(3,)])
-        assert f.branch_needs() == (2,)
-        assert stability_value(f) == 2
+        assert f.branch_needs == (2,)
+        assert f.branch_total == 2
         g = H([2, 1], [1, 0], [(2,), (1,)])
-        assert g.branch_needs() == (3, 0)
-        assert stability_value(g) == 3
+        assert g.branch_needs == (3, 0)
+        assert g.branch_total == 3
 
 
 def old_factor_rules(degrees, genera, profiles):
@@ -120,7 +120,7 @@ class TestShapeTable:
         except ValueError:   # a TypeError fails the test
             assert want is None
             return
-        assert want == (f.branch_needs(), f.node_profile)
+        assert want == (f.branch_needs, f.node_profile)
 
     def test_five_shapes_back_the_families(self):
         assert len(chowkit.strata.FACTOR_SHAPES) == 5
@@ -436,7 +436,7 @@ class TestFactorIdentity:
 
     def test_replace_rederives(self):
         f = dataclasses.replace(H([3], [2], [(2, 1)]), genera=(5,))
-        assert f.branch_needs() == (13,)
+        assert f.branch_needs == (13,)
         assert f.node_profile == (2, 1)
         assert (f.branch_total, f.connected, f.arithmetic_genus) == \
             (13, True, 5)

@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from chowkit.linalg import (bareiss_det, param_rank, rank_at_samples,
-                            rank_fraction, solve_cramer)
+import chowkit.spaces
+from chowkit.linalg import (bareiss_det, param_rank, rank_fraction,
+                            solve_cramer)
 from chowkit.ring import ParamPoly
 from chowkit.spaces import build_space
 from chowkit.verify import (LemmaId, StageFailure, TruncationTooLow,
                             relation_matrix, tt_chain, triviality_check,
                             verify_all, verify_relation)
+from sampled_rank import rank_at_samples
 
 EXPECTED_STRINGS = {
     "REL-111-DELTA": "zeta_p + zeta_q - (g+2)*z - a1",
@@ -99,6 +101,21 @@ class TestRelations:
 
     def test_verify_all_order(self):
         assert list(verify_all()) == [l.value for l in LemmaId]
+
+    def test_float_genus_raises_before_any_space_is_built(self):
+        # Fraction(0.1) is the binary value 3602879701896397/2**55, so a
+        # float genus is refused rather than read as some nearby rational
+        cache = chowkit.spaces._CACHE
+        before = dict(cache)
+        for build in (lambda: build_space("X3", g=0.1),
+                      lambda: verify_relation("REL-3-NODE", g=0.5),
+                      lambda: tt_chain(g=0.5)):
+            with pytest.raises(TypeError, match="expected int or Fraction"):
+                build()
+            assert cache == before
+        assert build_space("X3", g=3).g_value == 3
+        assert build_space("X3", g=Fraction(1, 10)).g_value == \
+            Fraction(1, 10)
 
 
 class TestChain:
