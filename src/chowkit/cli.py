@@ -15,18 +15,15 @@ None, plus a _Json fragment: text the writer already produced, which it
 re-indents to the fragment's place; anything else, floats included,
 raises TypeError.
 
-The strata report is streamed.  Its count comes first, from the closed
-form codim1_count; the report text before the strata list is written,
-then each stratum once, already at its final indent: its stratum shape's
-JSON object template, made once per report with %d for j and each genus,
-display included, filled in with one %.  The text after the list is
-rendered only once the list is written, so a count that differs from the
-number written fails the report.  Without --oracle both formats take the
-strata one split at a time, so no descriptor list and no string holding
-the whole list or report is kept; text keeps a running total, and a total
-that differs from codim1_count fails the text report the same way.  A genus,
-the jet splitting degrees and the jet counts of a row spec are read as
-ASCII decimal digits only.
+The strata report is streamed from the validated families of
+strata.codim1_families: its count, their sizes' sum, comes first, then
+each stratum in codim1_walk order, written once at its final indent as its
+family's JSON object template (with %d for j and the principal genera)
+filled in with one %; text fills the family's display template the same
+way.  No descriptor and no string holding the whole list is built, and a
+number written that differs from the count fails the report in either
+format.  A genus, the jet splitting degrees and the jet counts of a row
+spec are read as ASCII decimal digits only.
 """
 
 from __future__ import annotations
@@ -41,9 +38,8 @@ from json.encoder import encode_basestring
 from . import __version__
 from .bundles import JetPoint, in_locus_B, jet_rank
 from .spaces import _truncation_from_env
-from .strata import (FACTOR_SHAPES, codim1_by_split, codim1_count,
-                     enumerate_codim1, format_stratum, oracle_enumerate,
-                     stratum_display)
+from .strata import (FACTOR_SHAPES, OracleFailure, codim1_families,
+                     codim1_walk, enumerate_codim1, oracle_enumerate)
 from .verify import (LemmaId, StageFailure, TruncationTooLow,
                      triviality_check, verify_relation)
 
@@ -147,56 +143,41 @@ def _chain_payload(chain):
     return {stage: value.canonical() for stage, value in chain.stages()}
 
 
-def _stratum_template(s):
-    """The JSON object of every stratum of s's shape, at its indent in the
-    report, with %d for j and for each genus.
-
-    A stratum shape is its side shapes, which fix the node profile, and
-    its quotient.  The slots come in the order j, side 1's genera in its
-    block and in its display, side 2's likewise, then j and both sides'
-    genera in the stratum's display.  Nothing else in the template holds
-    a %: keys, profiles, quotients and shape templates have none.
-    """
-    blocks, templates = [], []
-    for side in (s.side1, s.side2):
-        template = FACTOR_SHAPES[side.degrees, side.profiles].template
-        templates.append(template)
+def _stratum_template(family):
+    """The JSON object of every stratum of family, at its indent in the
+    report, with %d for j and each principal genus (a leg's is 0): j, side
+    1's in its block and its display, side 2's likewise, then j and both
+    in the stratum's display.  Nothing else in it holds a %."""
+    blocks = []
+    for degrees, profiles in (family.shape1, family.shape2):
         blocks.append({
-            "degrees": list(side.degrees),
-            "genera": [_Json("%d")] * len(side.genera),
-            "profiles": [list(p) for p in side.profiles],
-            "display": template,
+            "degrees": list(degrees),
+            "genera": [_Json("%d")] + [0] * (len(degrees) - 1),
+            "profiles": [list(p) for p in profiles],
+            "display": FACTOR_SHAPES[degrees, profiles].template,
         })
     return _json_text({
         "j": _Json("%d"),
-        "node-profile": list(s.node_profile),
+        "node-profile": list(family.node_profile),
         "side1": blocks[0],
         "side2": blocks[1],
-        "quotient": s.quotient_group,
-        "display": stratum_display("%d", s.node_profile, *templates,
-                                   s.quotient_group),
+        "quotient": family.quotient,
+        "display": family.display_template(),
     }, "      ")
 
 
-def _write_strata(write, splits):
-    """Write the report's strata list at its indent, split by split, one
-    write per stratum: its shape's template, made once per call and kept
-    across the splits, filled with one %.  Returns the number written."""
-    templates = {}
+def _write_strata(write, families):
+    """Write the report's strata list at its indent, one write per
+    stratum: its family's template filled with one %.  Returns the number
+    written."""
+    templates = {f: _stratum_template(f) for f in families}
     sep = "[\n      "
     written = 0
-    for split in splits:
-        for s in split:
-            side1, side2 = s.side1, s.side2
-            key = (side1.degrees, side1.profiles, side2.degrees,
-                   side2.profiles, s.quotient_group)
-            template = templates.get(key)
-            if template is None:
-                template = templates[key] = _stratum_template(s)
-            g1, g2 = side1.genera, side2.genera
-            write(sep + template % (s.j, *g1, *g1, *g2, *g2, s.j, *g1, *g2))
-            sep = ",\n      "
-        written += len(split)
+    for j, f in codim1_walk(families):
+        g1, g2 = f.genera(j)
+        write(sep + templates[f] % (j, g1, g1, g2, g2, j, g1, g2))
+        sep = ",\n      "
+        written += 1
     write("\n    ]" if written else "[]")
     return written
 
@@ -252,22 +233,10 @@ def _check_count(report, count, written):
               file=sys.stderr)
 
 
-def _emit(report, fmt, strata=None):
-    """Print report; in JSON with strata, the splits of descriptors behind
-    report.strata, whose list is _Json(_STRATA_MARK), are written in
-    place of the mark without building the list's text.  The text after
-    the mark is rendered once they are written: a number written that
-    differs from report.strata["count"] fails the report."""
+def _emit(report, fmt):
+    """Print report."""
     if fmt == "json":
-        text = report.to_json()
-        if strata is None:
-            print(text)
-            return
-        write = sys.stdout.write
-        write(text.split(_STRATA_MARK)[0])
-        _check_count(report, report.strata["count"],
-                     _write_strata(write, strata))
-        write(report.to_json().split(_STRATA_MARK)[1] + "\n")
+        print(report.to_json())
         return
     for v in report.verdicts:
         g = "symbolic" if v["g"] is None else v["g"]
@@ -341,36 +310,44 @@ def cmd_strata(args):
     # enumeration
     try:
         reference = oracle_enumerate(g) if args.oracle else None
+    except OracleFailure as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     report = _empty_report(mode="sampled", g_values=[g])
-    # the oracle compares whole lists; otherwise strata come split by split
-    strata = enumerate_codim1(g) if args.oracle else None
+    families = codim1_families(g)
+    count = sum(f.size for f in families)
     agree = None
     if args.oracle:
+        strata = enumerate_codim1(g)
         agree = reference == strata
         if not agree:
             report.overall_pass = False
             print(f"oracle mismatch: {len(strata)} enumerated vs "
                   f"{len(reference)} brute-forced", file=sys.stderr)
-    splits = codim1_by_split(g) if strata is None else (strata,)
+    write = sys.stdout.write
     if args.fmt == "json":
         report.strata = {
             "genus": g,
-            "count": codim1_count(g),
+            "count": count,
             "oracle-checked": bool(args.oracle),
             "oracle-agrees": agree,
             "strata": _Json(_STRATA_MARK),
         }
-        _emit(report, args.fmt, splits)
+        # the strata are written in place of the mark, and the text after
+        # it is rendered once they are, so a short list fails the report
+        write(report.to_json().split(_STRATA_MARK)[0])
+        _check_count(report, count, _write_strata(write, families))
+        write(report.to_json().split(_STRATA_MARK)[1] + "\n")
     else:
-        write = sys.stdout.write
+        templates = {f: f.display_template() + "\n" for f in families}
         total = 0
-        for split in splits:
-            write("".join([format_stratum(s) + "\n" for s in split]))
-            total += len(split)
-        _check_count(report, codim1_count(g), total)
+        for j, f in codim1_walk(families):
+            write(templates[f] % (j, *f.genera(j)))
+            total += 1
+        _check_count(report, count, total)
         print(f"total: {total}")
         if args.oracle:
             print("oracle: " + ("agrees" if agree else "MISMATCH"))

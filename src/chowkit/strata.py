@@ -7,24 +7,15 @@ connected degree-3 cover, or a degree-2 cover plus a trivial degree-1
 piece.  Genera are pinned by Riemann-Hurwitz on each component, all
 branch points sit on the component of degree >= 2, and each side must be
 a stable marked Hurwitz space (which works out to "carries at least two
-branch points").
-
-Descriptors are canonicalized with side 1 the larger-j side; at j = b-j
-the mirror pair collapses to one stratum with sides sorted.  The gluing
-quotient group is looked up from the configuration shapes.
+branch points").  Side 1 is the larger-j side; at j = b-j the mirror pair
+collapses to one stratum with sides sorted.  The gluing quotient group is
+looked up from the configuration shapes.
 
 Only five side shapes occur, and FACTOR_SHAPES holds each one's node
-profile, Riemann-Hurwitz offsets and display template: a side is checked
-by one lookup of its shape plus its genera, and its display string is
-filled in from the template when the side is built.  codim1_by_split
-reads the sides of each split straight off that table, solving for the
-principal genus, and yields each split's strata in canonical (sort_key)
-order with one side object per distinct side of the split, so a writer
-holds one split at a time; enumerate_codim1 is the whole list, and
-codim1_count its length in closed form, so a writer can state the count
-before the list.  A side's branch total, connectivity and arithmetic
-genus are computed once, when it is built, and a descriptor checks its
-sides against them.
+profile, Riemann-Hurwitz offsets and display template.  codim1_families
+derives from it the (at most eleven) families of strata of a genus, each
+a progression in j, and codim1_walk yields their strata in canonical
+(sort_key) order without building them; enumerate_codim1 builds them.
 
 oracle_enumerate rediscovers the strata by brute force for
 cross-checking: per node profile, one sweep over all degree shapes, all
@@ -59,7 +50,7 @@ class FactorShape(NamedTuple):
     #: per component, needs = 2 * genus + offset: Riemann-Hurwitz,
     #: 2*g - 2 = -2*k + needs + sum(p - 1) with sum(p - 1) = k - len(prof)
     offsets: tuple
-    #: the display string with %d for each genus
+    #: the display string with %d for the principal genus
     template: str
     family: str
     #: the least genus of the first component among admissible sides
@@ -78,10 +69,10 @@ FACTOR_SHAPES = {
         (1, 1, 1), (4,), "H(3;%d;(1,1,1))", "connected, unramified point",
         0),
     ((2, 1), ((2,), (1,))): FactorShape(
-        (2, 1), (1, 0), "H(2,1;%d,%d;(2),(1))",
+        (2, 1), (1, 0), "H(2,1;%d,0;(2),(1))",
         "split, ramified double cover", 1),
     ((2, 1), ((1, 1), (1,))): FactorShape(
-        (1, 1, 1), (2, 0), "H(2,1;%d,%d;(1,1),(1))",
+        (1, 1, 1), (2, 0), "H(2,1;%d,0;(1,1),(1))",
         "split, unramified double cover", 0),
 }
 
@@ -121,7 +112,7 @@ class FactorSpace:
         derive(self, "branch_total", sum(needs))
         derive(self, "connected", len(genera) == 1)
         derive(self, "arithmetic_genus", sum(genera) + 1 - len(genera))
-        derive(self, "display", shape.template % genera)
+        derive(self, "display", shape.template % genera[0])
 
     def sort_key(self):
         return (len(self.degrees), self.degrees, self.genera, self.profiles)
@@ -179,90 +170,140 @@ def quotient_group(node_profile, side1, side2):
     raise ValueError(f"unknown node profile {node_profile}")
 
 
-#: per node profile, its shapes in FACTOR_SHAPES order with the sum of
-#: their offsets
-_SHAPES_OVER = {
-    node: [(degrees, profiles, sum(shape.offsets))
-           for (degrees, profiles), shape in FACTOR_SHAPES.items()
-           if shape.node_profile == node]
-    for node in _NODE_PROFILES}
+class StratumFamily(NamedTuple):
+    """The strata at j = first, first + 2, ..., last sharing a node
+    profile, both side shapes (FACTOR_SHAPES keys) and a quotient.  Side 1
+    carries j branch points and side 2 the other b - j, so their principal
+    genera are (j - shift1) / 2 and (shift2 - j) / 2."""
+
+    node_profile: tuple
+    shape1: tuple
+    shape2: tuple
+    quotient: str
+    first: int
+    last: int
+    shift1: int
+    shift2: int
+
+    @property
+    def size(self):
+        return (self.last - self.first) // 2 + 1
+
+    def genera(self, j):
+        """Both sides' principal genera at split j."""
+        return (j - self.shift1) // 2, (self.shift2 - j) // 2
+
+    def display_template(self):
+        """Every member's display, with %d for j and each principal
+        genus."""
+        return stratum_display("%d", self.node_profile,
+                               FACTOR_SHAPES[self.shape1].template,
+                               FACTOR_SHAPES[self.shape2].template,
+                               self.quotient)
 
 
-def _side_configs(profile, j_side):
-    """The sides over profile carrying j_side branch points, one per shape
-    in FACTOR_SHAPES order (connected first) whose principal genus g
-    solves 2 * g + sum(offsets) = j_side in nonnegative integers; the
-    degree-1 leg has genus 0.  Every side carries j_side >= 2 points, so
-    each is stable."""
-    out = []
-    for degrees, profiles, offset in _SHAPES_OVER[profile]:
-        twice = j_side - offset
-        if twice >= 0 and not twice % 2:
-            genera = (twice // 2,) + (0,) * (len(degrees) - 1)
-            out.append(FactorSpace(degrees, genera, profiles))
-    return out
+def _sides(memo, b, j, shape1, shape2):
+    """Both sides at split j, each built once per memo: a side value
+    occurs in one split only, as side 1 carries j >= b/2 points and side 2
+    b - j <= b/2."""
+    for key in ((shape1, j), (shape2, b - j)):
+        if key not in memo:
+            (degrees, profiles), j_side = key
+            principal = (j_side - sum(FACTOR_SHAPES[key[0]].offsets)) // 2
+            memo[key] = FactorSpace(degrees, (principal,) + (0,) * (
+                len(degrees) - 1), profiles)
+    return memo[shape1, j], memo[shape2, b - j]
 
 
-def _glues_connected(profile, side1, side2):
-    # a double-split (2,1) stratum pairs the degree-2 components with each
-    # other and the degree-1 with each other: two separate curves
-    if profile == (2, 1) and not side1.connected and not side2.connected:
-        return False
-    return True
+def _stratum(memo, g, j, profile, shape1, shape2):
+    s1, s2 = _sides(memo, branch_count(g), j, shape1, shape2)
+    return StratumDescriptor(g, j, profile, s1, s2,
+                             quotient_group(profile, s1, s2))
 
 
-def codim1_by_split(g):
-    """The codim-1 boundary strata for genus g, one list per split j.
-
-    The lists come in sort_key order, and so do the strata in each: j
-    rises from the mirror split b/2, node profiles come fewest points
-    first, and _side_configs lists the connected side before the split
-    one.
-    """
+def _families(g, memo):
+    """codim1_families(g), building its sides through memo."""
     b = branch_count(g)
-    for j in range(b // 2, b - 1):  # side 1 is the larger side, j >= b-j
-        yield _strata_for_split(g, j)
+    mirror, families = b // 2, []
+    shapes = sorted(FACTOR_SHAPES, key=lambda key: (
+        len(FACTOR_SHAPES[key].node_profile), len(key[0]), key[0]))
+    for shape1, shape2 in itertools.product(shapes, repeat=2):
+        profile = FACTOR_SHAPES[shape1].node_profile
+        o1, o2 = (sum(FACTOR_SHAPES[s].offsets) for s in (shape1, shape2))
+        # j >= b - j >= 2 and both principal genera integers >= 0 (offsets
+        # over one profile share a parity); a double-split (2,1) stratum
+        # glues the degree-2 and the degree-1 components pairwise: two curves
+        first, last = max(mirror, o1), min(b - 2, b - o2)
+        first, last = first + (first - o1) % 2, last - (last - o1) % 2
+        if FACTOR_SHAPES[shape2].node_profile != profile or first > last \
+                or profile == (2, 1) and len(shape1[0]) == len(shape2[0]) == 2:
+            continue
+        runs = [(first, last)]
+        if first == mirror:  # the one split where sides can be equal
+            s1, s2 = _sides(memo, b, first, shape1, shape2)
+            if s1.sort_key() > s2.sort_key():  # (shape2, shape1) lists it
+                runs = [(first + 2, last)]
+            elif s1 == s2:
+                runs = [(first, first), (first + 2, last)]
+        for lo, hi in runs:
+            if lo > hi:
+                continue
+            start, end = (_stratum(memo, g, j, profile, shape1, shape2)
+                          for j in (lo, hi))
+            if start.quotient_group != end.quotient_group:
+                raise ValueError(f"quotient changes over D{lo}..D{hi}")
+            families.append(StratumFamily(profile, shape1, shape2,
+                                          start.quotient_group, lo, hi,
+                                          o1, b - o2))
+    return families
+
+
+def codim1_families(g):
+    """The codim-1 strata for genus g, as validated families.
+
+    The list runs node profile by node profile, fewest points first, and
+    within one by both sides' degrees, which fix a side's shape there; so
+    at any one j it is in sort_key order.  Each family is validated by
+    real descriptors of its first and last member, and that proves every
+    member: on a family each side's genera, branch needs and arithmetic
+    genus are affine in j, so Riemann-Hurwitz, nonnegative genera and
+    needs, and 2 <= b - j <= j hold between the ends when they hold at
+    both, and the total genus is constant.  The quotient depends on j only
+    through side equality, which needs equal shapes and j = b - j; such a
+    mirror stratum is a family of its own.
+    """
+    return _families(g, {})
+
+
+def codim1_walk(families):
+    """(j, family) for every stratum of families, in sort_key order: j
+    rises, and the families at one j come in list order."""
+    for j in range(min(f.first for f in families),
+                   max(f.last for f in families) + 1):
+        for f in families:
+            if f.first <= j <= f.last and not (j - f.first) % 2:
+                yield j, f
 
 
 def enumerate_codim1(g):
-    """All codim-1 boundary strata for genus g, in sort_key order."""
-    return list(itertools.chain.from_iterable(codim1_by_split(g)))
+    """All codim-1 boundary strata for genus g, in sort_key order, with
+    one side object per distinct side."""
+    memo = {}
+    return [_stratum(memo, g, j, f.node_profile, f.shape1, f.shape2)
+            for j, f in codim1_walk(_families(g, memo))]
 
 
 def codim1_count(g):
-    """len(enumerate_codim1(g)) in closed form: 4g + 2 - (g mod 2).
-
-    It is the sum of the per-family counts that
-    test_family_counts_closed_form in tests/test_strata.py derives by hand
-    from the family rules and checks against the enumeration.
-    """
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
-    return 4 * g + 2 - g % 2
-
-
-def _strata_for_split(g, j):
-    b = branch_count(g)
-    mirror = 2 * j == b
-    out = []
-    for profile in _NODE_PROFILES:
-        # the offsets over one profile share a parity, and b - j has the
-        # parity of j, so a wrong-parity profile yields no sides
-        side2_configs = _side_configs(profile, b - j)
-        for s1 in side2_configs if mirror else _side_configs(profile, j):
-            for s2 in side2_configs:
-                if mirror and s1.sort_key() > s2.sort_key():
-                    continue
-                if not _glues_connected(profile, s1, s2):
-                    continue
-                out.append(StratumDescriptor(
-                    genus_total=g, j=j, node_profile=profile,
-                    side1=s1, side2=s2,
-                    quotient_group=quotient_group(profile, s1, s2)))
-    return out
+    """len(enumerate_codim1(g)): the sum of the family sizes."""
+    return sum(f.size for f in codim1_families(g))
 
 
 # -- brute-force oracle --
+
+
+class OracleFailure(Exception):
+    """The brute-force search found what the shape table cannot express:
+    a failed cross-check, not a usage error."""
 
 
 def _oracle_sides(profile, g_cap):
@@ -270,10 +311,11 @@ def _oracle_sides(profile, g_cap):
 
     One sweep tries every degree shape, every distribution of the profile
     parts onto components, and every genus tuple up to g_cap, and keeps
-    the stable sides whose forced branch counts are nonnegative, listed by
-    their branch total.  Degree shapes with no degree >= 2 component
-    cannot appear (FactorSpace rejects them, and they carry no branch
-    points anyway).
+    the stable sides (at least two branch points) whose branch counts,
+    2 g - 2 + k + len(profile) per component, are nonnegative, by their
+    branch total.  A kept side that FACTOR_SHAPES lacks, or gives other
+    counts, raises OracleFailure.  (A degree shape with no degree >= 2
+    component carries no branch points.)
     """
     by_total = {}
     for degrees in ((3,), (2, 1)):
@@ -281,17 +323,18 @@ def _oracle_sides(profile, g_cap):
             genus_ranges = [range(g_cap + 1) if k > 1 else (0,)
                             for k in degrees]
             for genera in itertools.product(*genus_ranges):
-                try:
-                    f = FactorSpace(degrees, tuple(genera), split_parts)
-                except ValueError:
+                needs = tuple([2 * gi - 2 + k + len(prof) for gi, k, prof
+                               in zip(genera, degrees, split_parts)])
+                if min(needs) < 0 or sum(needs) < 2:
                     continue
-                if any(n < 0 for n in f.branch_needs):
-                    continue
-                # a side is stable when it carries at least two branch
-                # points
-                if f.branch_total < 2:
-                    continue
-                by_total.setdefault(f.branch_total, []).append(f)
+                f = (FactorSpace(degrees, genera, split_parts)
+                     if (degrees, split_parts) in FACTOR_SHAPES else None)
+                if f is None or f.branch_needs != needs:
+                    raise OracleFailure(
+                        f"no factor shape fits the stable side with degrees "
+                        f"{degrees}, profiles {split_parts} and branch "
+                        f"needs {needs}")
+                by_total.setdefault(sum(needs), []).append(f)
     return by_total
 
 
@@ -347,9 +390,7 @@ def oracle_enumerate(g):
     found = {}
     for profile in _NODE_PROFILES:
         sides = _oracle_sides(profile, g)
-        for j in range(2, b - 1):
-            if j < b - j:
-                continue
+        for j in range(b // 2, b - 1):  # side 1 is the larger, j >= b - j
             for s1 in sides.get(j, ()):
                 for s2 in sides.get(b - j, ()):
                     if j == b - j and s1.sort_key() > s2.sort_key():
@@ -361,7 +402,9 @@ def oracle_enumerate(g):
                         side1=s1, side2=s2,
                         quotient_group=quotient_group(profile, s1, s2))
                     key = (j, profile, s1, s2)
-                    assert key not in found, "oracle produced a duplicate"
+                    if key in found:
+                        raise OracleFailure(
+                            f"oracle found {format_stratum(desc)} twice")
                     found[key] = desc
     return sorted(found.values(), key=StratumDescriptor.sort_key)
 

@@ -18,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 import chowkit
 from chowkit.cli import (_REPORT_FIELDS, Report, _empty_report, _Json,
                          _json_text, main, parse_g_spec)
-from chowkit.strata import enumerate_codim1, format_stratum
+from chowkit.strata import (FACTOR_SHAPES, FactorSpace, StratumDescriptor,
+                            codim1_families, enumerate_codim1,
+                            oracle_enumerate)
 from chowkit.verify import LemmaId
 
 
@@ -258,16 +260,9 @@ class TestStrataCommand:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_count_mismatch_fails_the_report(self, capsys, monkeypatch, fmt):
-        # an enumeration one stratum short of codim1_count fails both
-        # formats, with and without --oracle
-        def drop_one(g):
-            splits = chowkit.strata.codim1_by_split(g)
-            yield next(splits)[1:]
-            yield from splits
-
-        monkeypatch.setattr(chowkit.cli, "codim1_by_split", drop_one)
-        monkeypatch.setattr(chowkit.cli, "enumerate_codim1",
-                            lambda g: [s for part in drop_one(g) for s in part])
+        # a family walk one stratum short of the families' count fails
+        # both formats, with and without --oracle
+        monkeypatch.setattr(chowkit.cli, "codim1_walk", _drop_one)
         for args, count in ((("--g", "50"), 202),
                             (("--g", "9", "--oracle"), 37)):
             code, out, err = run(capsys, "strata", *args, "--format", fmt)
@@ -297,10 +292,8 @@ class TestStrataCommand:
         assert "oracle capped at genus 30" in err
 
     def test_json_renders_each_side_once(self, capsys, monkeypatch):
-        # g = 2000: 8002 strata over 10002 distinct side objects; a side's
-        # display is filled in from its shape's template when it is built,
-        # and JSON fills in each stratum shape's template, display
-        # included, so only the text report formats a stratum
+        # g = 2000: 8002 strata; both formats fill in their family's
+        # display template, so neither formats a stratum
         counts = {"format_stratum": 0}
 
         def counting(name, fn):
@@ -313,12 +306,33 @@ class TestStrataCommand:
             monkeypatch.setattr(chowkit.strata, name,
                                 counting(name, getattr(chowkit.strata, name)))
         monkeypatch.setattr(chowkit.cli, "format_stratum",
-                            chowkit.strata.format_stratum)
-        for fmt, calls in (("json", 0), ("text", 8002)):
+                            chowkit.strata.format_stratum, raising=False)
+        for fmt, calls in (("json", 0), ("text", 0)):
             counts.update(dict.fromkeys(counts, 0))
             code, _, _ = run(capsys, "strata", "--g", "2000", "--format", fmt)
             assert code == 0
             assert counts["format_stratum"] == calls, fmt
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_work_is_constant_in_the_genus(self, monkeypatch, fmt):
+        # the CLI builds descriptors only to validate each family at its
+        # ends, so g = 2000 and g = 10^4 build the same objects
+        built = {FactorSpace: 0, StratumDescriptor: 0}
+        for cls in built:
+            def counting(self, cls=cls, init=cls.__post_init__):
+                built[cls] += 1
+                init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        counts = []
+        for g in (2000, 10**4):
+            built.update(dict.fromkeys(built, 0))
+            with contextlib.redirect_stdout(_CountingSink()):
+                assert main(["strata", "--g", str(g), "--format", fmt]) == 0
+            counts.append(dict(built))
+        assert counts[0] == counts[1]
+        assert counts[0][StratumDescriptor] <= 2 * 11
+        assert len(codim1_families(10**4)) == 11
 
     @staticmethod
     def assert_bounded_by_split(*fmt):
@@ -331,13 +345,42 @@ class TestStrataCommand:
         assert large <= 2 * small, (small, large)
 
     def test_text_memory_bounded_by_split(self):
-        # without --oracle the text report holds one split at a time
+        # the text report holds one stratum at a time
         self.assert_bounded_by_split()
 
     def test_json_memory_bounded_by_split(self):
-        # the count comes from its closed form, so without --oracle the
-        # JSON report too holds one split at a time, and no descriptor list
+        # the count is the family sizes' sum, so the JSON report too holds
+        # one stratum at a time, and no descriptor list
         self.assert_bounded_by_split("--format", "json")
+
+    @pytest.mark.parametrize("shape", list(FACTOR_SHAPES))
+    def test_oracle_fails_on_a_missing_shape(self, capsys, monkeypatch,
+                                             shape):
+        # the oracle finds its sides by Riemann-Hurwitz, so a shape dropped
+        # from the table is a failed check, not a skipped side
+        monkeypatch.delitem(FACTOR_SHAPES, shape)
+        code, out, err = run(capsys, "strata", "--g", "9", "--oracle")
+        assert (code, out) == (1, "")
+        degrees, profiles = shape
+        assert f"degrees {degrees}, profiles {profiles}" in err
+
+    def test_oracle_fails_on_a_wrong_offset(self, capsys, monkeypatch):
+        # the oracle counts branch points by Riemann-Hurwitz itself, so a
+        # wrong offset in the table is a failed check too
+        shape = ((3,), ((3,),))
+        monkeypatch.setitem(FACTOR_SHAPES, shape,
+                            FACTOR_SHAPES[shape]._replace(offsets=(4,)))
+        code, out, err = run(capsys, "strata", "--g", "9", "--oracle")
+        assert (code, out) == (1, "")
+        assert "degrees (3,), profiles ((3,),) and branch needs (2,)" in err
+
+    def test_oracle_fails_on_a_duplicate(self, capsys, monkeypatch):
+        sweep = chowkit.strata._oracle_sides
+        monkeypatch.setattr(chowkit.strata, "_oracle_sides", lambda *a: {
+            total: sides * 2 for total, sides in sweep(*a).items()})
+        code, out, err = run(capsys, "strata", "--g", "9", "--oracle")
+        assert (code, out) == (1, "")
+        assert err.startswith("oracle found D") and err.endswith(" twice\n")
 
     def test_negative_genus_exits_2(self, capsys):
         code, _, err = run(capsys, "strata", "--g", "-1")
@@ -399,6 +442,19 @@ def test_display_matches_reference():
                 assert side.display == reference_display(side), g
 
 
+def _drop_one(families):
+    """codim1_walk without its first stratum."""
+    walk = chowkit.strata.codim1_walk(families)
+    next(walk)
+    yield from walk
+
+
+def reference_stratum_display(stratum):
+    profile = ",".join(str(p) for p in stratum.node_profile)
+    return (f"D{stratum.j} ({profile}): {reference_display(stratum.side1)} "
+            f"x {reference_display(stratum.side2)} [{stratum.quotient_group}]")
+
+
 def _stratum_payload(stratum):
     """Reference: one stratum's report entry as a plain dict, each side
     formatted afresh."""
@@ -408,12 +464,12 @@ def _stratum_payload(stratum):
         "side1": _side_payload(stratum.side1),
         "side2": _side_payload(stratum.side2),
         "quotient": stratum.quotient_group,
-        "display": format_stratum(stratum),
+        "display": reference_stratum_display(stratum),
     }
 
 
-def _strata_payload(g, oracle, agrees):
-    strata = enumerate_codim1(g)
+def _strata_payload(g, oracle, agrees, source=enumerate_codim1):
+    strata = source(g)
     return {
         "genus": g,
         "count": len(strata),
@@ -423,16 +479,17 @@ def _strata_payload(g, oracle, agrees):
     }
 
 
-def _strata_reference(g, oracle=False, agrees=None):
+def _strata_reference(g, oracle=False, agrees=None,
+                      source=enumerate_codim1):
     """Reference: the whole stdout of `strata --g g --format json`, with
-    or without --oracle, through json.dumps."""
+    or without --oracle, through json.dumps, from source's strata."""
     return json.dumps({
         "tool-version": chowkit.__version__,
         "mode": "sampled",
         "g-values": [g],
         "verdicts": [],
         "chain": None,
-        "strata": _strata_payload(g, oracle, agrees),
+        "strata": _strata_payload(g, oracle, agrees, source),
         "determinant": None,
         "overall-pass": agrees is not False,
     }, indent=2, ensure_ascii=False) + "\n"
@@ -462,6 +519,23 @@ class TestJsonWriter:
         code, out, _ = run(capsys, "strata", "--g", str(g), "--format", "json")
         assert code == 0
         assert_same_text(out, _strata_reference(g))
+
+    def test_strata_match_the_oracle_reference(self, capsys):
+        # the oracle finds the strata without the family table the CLI
+        # walks, and the reference formats them afresh, so this gates the
+        # table and both writers
+        for g in range(31):
+            code, out, _ = run(capsys, "strata", "--g", str(g),
+                               "--format", "json")
+            assert code == 0
+            assert_same_text(out, _strata_reference(
+                g, source=oracle_enumerate))
+            strata = oracle_enumerate(g)
+            code, out, _ = run(capsys, "strata", "--g", str(g))
+            assert code == 0
+            assert_same_text(out, "".join(
+                [reference_stratum_display(s) + "\n" for s in strata])
+                + f"total: {len(strata)}\noverall: PASS\n")
 
     def test_large_strata_report_matches_stdlib(self, capsys):
         # the whole-report writer on the 6.5 MB report, as the streamed
@@ -503,14 +577,9 @@ class TestJsonWriter:
         assert out.endswith("total: 37\noracle: MISMATCH\noverall: FAIL\n")
 
     def test_count_mismatch_report(self, capsys, monkeypatch, schema):
-        # count is written before the list, from the closed form; a list
+        # count is written before the list, from the family sizes; a list
         # that comes out short fails the report rather than being recounted
-        def drop_one(g):
-            splits = chowkit.strata.codim1_by_split(g)
-            yield next(splits)[1:]
-            yield from splits
-
-        monkeypatch.setattr(chowkit.cli, "codim1_by_split", drop_one)
+        monkeypatch.setattr(chowkit.cli, "codim1_walk", _drop_one)
         code, out, err = run(capsys, "strata", "--g", "50", "--format", "json")
         assert code == 1
         assert "strata count mismatch: 202 counted, 201 written" in err
@@ -519,12 +588,14 @@ class TestJsonWriter:
         assert payload["overall-pass"] is False
         block = payload["strata"]
         assert (block["count"], len(block["strata"])) == (202, 201)
-        # --oracle writes the list it compared, whole, under the same count
+        # --oracle writes the same walk, after comparing the descriptors
         code, out, err = run(capsys, "strata", "--g", "9", "--oracle",
                              "--format", "json")
-        assert (code, err) == (0, "")
+        assert (code, err) == (1, "strata count mismatch: 37 counted, "
+                                  "36 written\n")
         block = json.loads(out)["strata"]
-        assert block["count"] == len(block["strata"]) == 37
+        assert (block["count"], len(block["strata"])) == (37, 36)
+        assert block["oracle-agrees"] is True
 
     @pytest.mark.parametrize("bad", [1.5, (1, 2), {"a": [0.0]}, {1: 2},
                                      {"a": {1, 2}}])
